@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -108,7 +109,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=_FORMATS, default="json",
                    help="output format (default json)")
     p.add_argument("--seed", type=int, default=0,
-                   help="random seed for sampling paths (default 0)")
+                   help="accepted for reproducibility; currently unused, since no "
+                        "command samples (default 0)")
     p.add_argument("--digits", type=int, default=6,
                    help="significant digits in printed numbers (2..12, default 6)")
     p.add_argument("--config", default=None,
@@ -275,17 +277,24 @@ def _cmd_compare(parser, args) -> int:
         return EXIT_OK
 
     def csv_lines(rows):
-        out = [_TABLE1_HEADER]
+        keys = next((list(r.paper_rounded) for r in rows if r.paper_rounded), [])
+        out = [",".join([_TABLE1_HEADER] + [f"paper_rounded_{k}" for k in keys])]
         for r in rows:
-            out.append(f"{r.family},{_fmt(r.detectability, d)},"
-                       f"{_fmt(r.total_rom, d)},{_fmt(r.eta_ebits, d)}")
+            cells = [r.family, _fmt(r.detectability, d), _fmt(r.total_rom, d),
+                     _fmt(r.eta_ebits, d)]
+            cells += [_fmt(r.paper_rounded[k], d) if r.paper_rounded else "" for k in keys]
+            out.append(",".join(cells))
         return out
 
     def text_lines(rows, title):
         out = [title]
         for r in rows:
-            out.append(f"  {r.family}: D {_fmt(r.detectability, d)}, "
-                       f"RoM {_fmt(r.total_rom, d)}, eta {_fmt(r.eta_ebits, d)} ebits")
+            line = (f"  {r.family}: D {_fmt(r.detectability, d)}, "
+                    f"RoM {_fmt(r.total_rom, d)}, eta {_fmt(r.eta_ebits, d)} ebits")
+            if r.paper_rounded:
+                line += "; paper-rounded " + ", ".join(
+                    f"{k} {_fmt(v, d)}" for k, v in r.paper_rounded.items())
+            out.append(line)
         return out
 
     lines = []
@@ -343,7 +352,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # final flush does not raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_NUMERICAL
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

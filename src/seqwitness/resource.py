@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sequential, states, witness
 from .qcore import expectation
-from .sequential import ChainReport, SharpnessSchedule, average_shrink
+from .sequential import ChainReport, SharpnessSchedule
 
 # The colored-noise budget match is carried at two-decimal precision in the
 # state parameter, which puts the derived quadratic constant at 2.26 rather
@@ -74,13 +74,16 @@ def _base_strength(family: states.StateFamily) -> float:
     return 1.0 - 4.0 * expectation(w.matrix(), states.build(family))
 
 
-def _closed_form_detectability(strength: float, lambdas) -> tuple[float, ...]:
-    per = []
-    g = strength
-    for lam in lambdas:
-        per.append((1.0 - lam * lam * g) / 4.0)
-        g *= average_shrink(lam) ** 2
-    return tuple(per)
+def _shrink_squared(lams: np.ndarray) -> np.ndarray:
+    """Squared single-wing attenuation (1 + 2 sqrt(1 - lam^2))^2 / 9 per
+    grid point.
+
+    The square is taken with Python's float power, as in the scalar
+    recursion: C ``pow`` can differ from ``s * s`` in the last bit, and the
+    grid's argmin must not depend on which one was used.
+    """
+    shrink = (1.0 + 2.0 * np.sqrt(1.0 - lams * lams)) / 3.0
+    return np.array([s ** 2 for s in shrink.tolist()])
 
 
 def maximize_detectability(family: states.StateFamily,
@@ -89,23 +92,25 @@ def maximize_detectability(family: states.StateFamily,
     """Most negative 3-stage symmetric detectability with every stage negative.
 
     Deterministic coarse-to-fine grid refinement to 1e-4 per parameter over
-    symmetric schedules (xi_i = lam_i).  The returned report is re-evaluated
-    through the full matrix chain.
+    symmetric schedules (xi_i = lam_i).  On the initial state the stage
+    witness expectation is (1 - lam^2 g) / 4, and each stage scales g by the
+    squared attenuation of its sharpness, so each level of the grid is swept
+    one stage-1 value at a time, with numpy over the whole (lam2, lam3)
+    slice.  The first minimum in the grid's lexicographic order is kept and
+    a later point replaces the best only by being strictly smaller, so the
+    chosen schedule is the one an element-by-element triple loop picks.  The
+    returned report is re-evaluated through the full matrix chain.
     """
+    if not all(0.0 < cap <= 1.0 for cap in stage_caps):
+        raise ValueError("stage caps must lie in (0, 1]")
     strength = _base_strength(family)
-
-    def total(lams):
-        per = _closed_form_detectability(strength, lams)
-        if any(d >= 0.0 for d in per):
-            return None
-        return sum(per)
 
     def grid(center, halfwidth, points, cap):
         lo = max(0.02, center - halfwidth)
         hi = min(cap, center + halfwidth)
         return np.linspace(lo, hi, points)
 
-    best = None
+    best = math.inf
     best_lams = None
     caps = stage_caps
     axes = [np.arange(0.02, cap + 1e-12, 0.02) for cap in caps]
@@ -113,14 +118,25 @@ def maximize_detectability(family: states.StateFamily,
     axes = [np.unique(np.append(ax, cap)) for ax, cap in zip(axes, caps)]
     step = 0.02
     for _ in range(5):
-        for l1 in axes[0]:
-            for l2 in axes[1]:
-                for l3 in axes[2]:
-                    d = total((l1, l2, l3))
-                    if d is not None and (best is None or d < best):
-                        best = d
-                        best_lams = (float(l1), float(l2), float(l3))
-        if best is None:
+        ax1, ax2, ax3 = axes
+        sq1, sq2 = _shrink_squared(ax1), _shrink_squared(ax2)
+        lam2_sq = (ax2 * ax2)[:, None]
+        lam3_sq = ax3 * ax3
+        for l1, s1 in zip(ax1, sq1):
+            d1 = (1.0 - l1 * l1 * strength) / 4.0
+            if not d1 < 0.0:
+                continue
+            g2 = strength * s1
+            d2 = (1.0 - lam2_sq * g2) / 4.0
+            d3 = (1.0 - lam3_sq * (g2 * sq2)[:, None]) / 4.0
+            totals = np.where((d2 < 0.0) & (d3 < 0.0), (d1 + d2) + d3, math.inf)
+            flat = int(np.argmin(totals))
+            d = totals.flat[flat]
+            if d < best:
+                best = float(d)
+                j, k = divmod(flat, ax3.size)
+                best_lams = (float(l1), float(ax2[j]), float(ax3[k]))
+        if best_lams is None:
             raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
                              "with every stage detecting")
         if step <= _GRID_RESOLUTION:
@@ -245,18 +261,22 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
     best = min(candidates, key=sum)
 
     # Grid refinement cross-check: scan (lam1, lam2) with lam3 from the
-    # constraint, down to 1e-4, and keep whichever solution is smaller.
+    # constraint, down to 1e-4, and keep whichever solution is smaller.  A
+    # scan point replaces the best only by a strictly smaller sum, and the
+    # first such minimum in scan order wins.
     def refine(center, half, points):
         nonlocal best
-        for l1 in np.linspace(max(floor, center[0] - half), min(1.0, center[0] + half), points):
-            for l2 in np.linspace(max(floor, center[1] - half), min(1.0, center[1] + half), points):
-                rest = constraint - l1 * l1 - l2 * l2
-                if rest <= floor * floor or rest > 1.0 + 1e-12:
-                    continue
-                l3 = math.sqrt(min(rest, 1.0))
-                cand = tuple(sorted((float(l1), float(l2), l3), reverse=True))
-                if sum(cand) < sum(best):
-                    best = cand
+        l1 = np.linspace(max(floor, center[0] - half), min(1.0, center[0] + half), points)
+        l2 = np.linspace(max(floor, center[1] - half), min(1.0, center[1] + half), points)
+        rest = constraint - (l1 * l1)[:, None] - l2 * l2
+        ok = (rest > floor * floor) & (rest <= 1.0 + 1e-12)
+        l3 = np.sqrt(np.clip(rest, 0.0, 1.0))
+        triples = np.stack(np.broadcast_arrays(l1[:, None], l2, l3), axis=-1)
+        triples.sort(axis=-1)
+        sums = np.where(ok, (triples[..., 2] + triples[..., 1]) + triples[..., 0], math.inf)
+        flat = int(np.argmin(sums))
+        if sums.flat[flat] < sum(best):
+            best = tuple(float(v) for v in triples.reshape(-1, 3)[flat, ::-1])
 
     refine(((1.0 + floor) / 2.0, (1.0 + floor) / 2.0), (1.0 - floor) / 2.0, 41)
     half = (1.0 - floor) / 40.0

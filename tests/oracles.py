@@ -1,8 +1,11 @@
 """Brute-force reference computations kept independent of the library paths.
 
 Each helper recomputes a quantity from first principles (explicit loops,
-numpy.linalg) so the package code has a second route to be checked against.
+numpy.linalg, scalar grid loops) so the package code has a second route to
+be checked against.
 """
+
+import math
 
 import numpy as np
 
@@ -66,3 +69,101 @@ def random_density_matrix(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def closed_form_detectability(strength, lambdas):
+    """Stage-wise (1 - lam^2 g) / 4 of a symmetric chain, g scaled after each
+    stage by the squared single-wing attenuation (1 + 2 sqrt(1 - lam^2)) / 3."""
+    per = []
+    g = strength
+    for lam in lambdas:
+        per.append((1.0 - lam * lam * g) / 4.0)
+        g *= ((1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0) ** 2
+    return tuple(per)
+
+
+def detectability_grid_argmax(strength, caps=(1.0, 1.0, 1.0)):
+    """Scalar triple-loop form of the coarse-to-fine detectability grid.
+
+    Evaluates every grid point of every level one by one and keeps a point
+    only on strict improvement; returns the chosen (lam1, lam2, lam3).
+    """
+    def total(lams):
+        per = closed_form_detectability(strength, lams)
+        if any(d >= 0.0 for d in per):
+            return None
+        return sum(per)
+
+    def grid(center, halfwidth, points, cap):
+        lo = max(0.02, center - halfwidth)
+        hi = min(cap, center + halfwidth)
+        return np.linspace(lo, hi, points)
+
+    best = None
+    best_lams = None
+    axes = [np.arange(0.02, cap + 1e-12, 0.02) for cap in caps]
+    axes = [np.unique(np.append(ax, cap)) for ax, cap in zip(axes, caps)]
+    step = 0.02
+    for _ in range(5):
+        for l1 in axes[0]:
+            for l2 in axes[1]:
+                for l3 in axes[2]:
+                    d = total((l1, l2, l3))
+                    if d is not None and (best is None or d < best):
+                        best = d
+                        best_lams = (float(l1), float(l2), float(l3))
+        if best is None:
+            raise ValueError("no 3-stage schedule with every stage detecting")
+        if step <= 1e-4:
+            break
+        step /= 10.0
+        axes = [grid(c, 15.0 * step, 31, cap) for c, cap in zip(best_lams, caps)]
+    return best_lams
+
+
+def min_rom_lambdas(constraint, floor, copies=3):
+    """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1.
+
+    Boundary patterns (free coordinates equal, the rest at the cap or the
+    floor) give a start, then a scalar (lam1, lam2) scan with lam3 from the
+    constraint refines it to 1e-4, keeping a point only on strict
+    improvement.  Returns the triple in descending order.
+    """
+    candidates = []
+
+    def consider(fixed):
+        remaining = constraint - sum(v * v for v in fixed)
+        n_free = copies - len(fixed)
+        if n_free == 0:
+            if abs(remaining) < 1e-12:
+                candidates.append(tuple(sorted(fixed, reverse=True)))
+            return
+        if remaining <= 0.0:
+            return
+        m = math.sqrt(remaining / n_free)
+        if floor <= m <= 1.0:
+            candidates.append(tuple(sorted(list(fixed) + [m] * n_free, reverse=True)))
+
+    for n_cap in range(copies + 1):
+        for n_floor in range(copies + 1 - n_cap):
+            consider([1.0] * n_cap + [floor] * n_floor)
+    best = min(candidates, key=sum)
+
+    def refine(center, half, points):
+        nonlocal best
+        for l1 in np.linspace(max(floor, center[0] - half), min(1.0, center[0] + half), points):
+            for l2 in np.linspace(max(floor, center[1] - half), min(1.0, center[1] + half), points):
+                rest = constraint - l1 * l1 - l2 * l2
+                if rest <= floor * floor or rest > 1.0 + 1e-12:
+                    continue
+                l3 = math.sqrt(min(rest, 1.0))
+                cand = tuple(sorted((float(l1), float(l2), l3), reverse=True))
+                if sum(cand) < sum(best):
+                    best = cand
+
+    refine(((1.0 + floor) / 2.0, (1.0 + floor) / 2.0), (1.0 - floor) / 2.0, 41)
+    half = (1.0 - floor) / 40.0
+    while half > 1e-4 / 2.0:
+        refine(best[:2], half, 21)
+        half /= 5.0
+    return best

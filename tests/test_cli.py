@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,55 @@ def test_compare_paper_rounding_column(capsys):
     code, out = run(capsys, "compare", "--table", "2", "--paper-rounding")
     data = json.loads(out)
     assert data["non_sequential"]["colored"]["paper_rounded"]["total_rom"] == pytest.approx(5.18)
+
+
+def test_compare_paper_rounding_csv_columns(capsys):
+    _, plain = run(capsys, "compare", "--table", "both", "--format", "csv")
+    code, out = run(capsys, "compare", "--table", "both", "--format", "csv", "--paper-rounding")
+    assert code == 0
+    tab1, tab2 = (block.splitlines() for block in out.strip().split("\n\n"))
+    assert tab1[0] == ("family,detectability,total_rom,eta_ebits,paper_rounded_matching_parameter,"
+                       "paper_rounded_concurrence,paper_rounded_eta_ebits")
+    assert tab2[0] == ("family,detectability,total_rom,eta_ebits,paper_rounded_total_rom,"
+                       "paper_rounded_quadratic_constraint,paper_rounded_per_pair_floor")
+    rows1 = {line.split(",")[0]: line.split(",") for line in tab1[1:]}
+    rows2 = {line.split(",")[0]: line.split(",") for line in tab2[1:]}
+    assert rows1["sequential"][4:] == ["", "", ""]
+    assert float(rows1["colored"][6]) == pytest.approx(1.14)
+    assert float(rows2["colored"][4]) == pytest.approx(5.18)
+    assert float(rows2["werner"][5]) == pytest.approx(2.28)
+    # the leading columns are the unrounded table, unchanged
+    plain_rows = [line.split(",")[:4] for line in plain.strip().splitlines() if line]
+    rounded_rows = [line.split(",")[:4] for line in out.strip().splitlines() if line]
+    assert rounded_rows == plain_rows
+
+
+def test_compare_paper_rounding_text_clause(capsys):
+    _, plain = run(capsys, "compare", "--table", "2", "--format", "text")
+    code, out = run(capsys, "compare", "--table", "2", "--format", "text", "--paper-rounding")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split(";")[0] for line in lines] == plain.strip().splitlines()
+    assert lines[1] == "  sequential: D -0.2, RoM 5.06, eta 1 ebits"
+    colored = next(line for line in lines if line.startswith("  colored:"))
+    assert colored.endswith("; paper-rounded total_rom 5.18, quadratic_constraint 2.26, "
+                            "per_pair_floor 0.77")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "seqwitness.cli", "witness-eval",
+                               "--state", "bell", "--xi", "0.5", "--lambda", "0.5"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_witness_eval_values(capsys):

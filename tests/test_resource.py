@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from seqwitness import resource, sequential, states, witness
 
 BELL = states.StateFamily.bell()
@@ -38,8 +40,31 @@ def test_detectability_requires_stages():
 def test_closed_form_detectability_matches_matrix_route():
     report = resource.detectability(best_chain())
     strength = resource._base_strength(BELL)
-    closed = resource._closed_form_detectability(strength, BEST_SCHEDULE)
+    closed = oracles.closed_form_detectability(strength, BEST_SCHEDULE)
     assert np.allclose(closed, report.per_stage, atol=1e-12)
+
+
+OPTIMIZER_CASES = [
+    (BELL, (1.0, 1.0, 1.0)),
+    (states.StateFamily.werner(0.93), (1.0, 1.0, 1.0)),
+    (states.StateFamily.werner(0.97), (1.0, 1.0, 1.0)),
+    (states.StateFamily.werner(1.0), (1.0, 1.0, 1.0)),
+    (states.StateFamily.colored(0.95), (1.0, 1.0, 1.0)),
+    (states.StateFamily.colored(0.99), (1.0, 1.0, 1.0)),
+    (states.StateFamily.pure(0.6), (1.0, 1.0, 1.0)),
+    (states.StateFamily.pure(0.7), (1.0, 1.0, 1.0)),
+    (states.StateFamily.pure(0.77), (1.0, 1.0, 1.0)),
+    (BELL, (1.0, 1.0, 0.9)),
+    (BELL, (0.937, 0.991, 0.903)),
+    (states.StateFamily.werner(0.97), (0.951, 0.913, 0.977)),
+]
+
+
+@pytest.mark.parametrize("family,caps", OPTIMIZER_CASES)
+def test_maximize_detectability_matches_scalar_grid(family, caps):
+    lams = oracles.detectability_grid_argmax(resource._base_strength(family), caps)
+    report = resource.maximize_detectability(family, caps)
+    assert report.schedule.stages == tuple((lam, lam) for lam in lams)
 
 
 def test_maximize_detectability_bell():
@@ -61,6 +86,25 @@ def test_maximize_detectability_capped_stage_three():
 def test_maximize_detectability_rejects_weak_family():
     with pytest.raises(ValueError):
         resource.maximize_detectability(states.StateFamily.werner(0.5))
+
+
+@pytest.mark.parametrize("caps", [(1.0, 1.0, 1.5), (0.0, 1.0, 1.0), (1.0, -0.5, 1.0)])
+def test_maximize_detectability_rejects_caps_outside_unit_interval(caps):
+    with pytest.raises(ValueError):
+        resource.maximize_detectability(BELL, caps)
+
+
+def test_maximize_detectability_memory_stays_sliced():
+    # one (lam2, lam3) slice at a time keeps the working set to a few 51x51
+    # arrays; a full 3-D broadcast of the coarse level alone would be ~1 MB
+    resource.maximize_detectability(BELL)
+    tracemalloc.start()
+    try:
+        resource.maximize_detectability(BELL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_total_rom():
@@ -133,6 +177,19 @@ def test_min_rom_internals():
     sol_c = resource._solve_min_rom("colored", 1.0, -0.20, param_decimals=2)
     assert sol_c.param == 0.67
     assert sol_c.quadratic_constraint == pytest.approx(2.261905, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind,budget,target", [
+    ("werner", 1.0, -0.20), ("colored", 1.0, -0.20), ("pure", 1.0, -0.20),
+    ("werner", 0.5, -0.20), ("colored", 1.5, -0.20), ("pure", 2.5, -0.20),
+    ("werner", 2.9, -0.35), ("pure", 0.8, -0.10),
+])
+def test_min_rom_lambdas_match_scalar_scan(kind, budget, target):
+    decimals = 2 if kind == "colored" else None
+    sol = resource._solve_min_rom(kind, budget, target, param_decimals=decimals)
+    expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)
+    assert sol.lambdas == expected
+    assert sol.rom == 2.0 * sum(expected)
 
 
 def test_min_rom_exhaustive_grid_oracle():
