@@ -218,9 +218,5 @@ def concurrence_wootters(rho) -> float:
     roots = np.where(evals > 1e-13, np.sqrt(np.clip(evals, 0.0, None)), 0.0)
     sqrt_rho = vecs @ np.diag(roots.astype(complex)) @ vecs.conj().T
     flip = sqrt_rho @ yy @ sqrt_rho.conj()
-    jordan = np.zeros((8, 8), dtype=complex)
-    jordan[:4, 4:] = flip
-    jordan[4:, :4] = flip.conj().T
-    spectrum, _ = eigen_hermitian(jordan)
-    sigma = spectrum[::-1][:4]  # the +singular-value half, descending
+    sigma = np.linalg.svd(flip, compute_uv=False)  # descending
     return float(max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3]))

@@ -2,11 +2,14 @@
 
 Each observer pair measures one of three orthogonal spin directions with
 equal probability, so the state handed to the next pair is the setting- and
-outcome-averaged Lueders map.  A stage "detects" when the modulated witness
-expectation on its incoming state is negative, which happens exactly when
-the stage's sharpness product exceeds a threshold; the greedy procedures
-saturate each stage just above its threshold to disturb the state as little
-as possible and count how many stages stay below product 1.
+outcome-averaged Lueders map.  On each measured wing it scales every Pauli
+component by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, which the channels here
+apply in closed form; the Kraus sum it equals is the tests' oracle.  A stage
+"detects" when the modulated witness expectation on its incoming state is
+negative, which happens exactly when the stage's sharpness product exceeds a
+threshold; the greedy procedures saturate each stage just above its
+threshold to disturb the state as little as possible and count how many
+stages stay below product 1.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measurement, states, witness
-from .qcore import DensityMatrix, expectation, tensor
+from . import states, witness
+from .qcore import DensityMatrix, expectation
 
-_DIRECTIONS = (measurement.X_AXIS, measurement.Y_AXIS, measurement.Z_AXIS)
-_OUTCOMES = (+1, -1)
-_I2 = np.eye(2, dtype=complex)
+_HALF_I2 = np.eye(2, dtype=complex) / 2.0
 
 # Float guard when snapping a threshold onto the 0.01 grid.
 _GRID_EPS = 1e-9
@@ -33,37 +34,37 @@ def average_shrink(lam: float) -> float:
     return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
 
 
+def _shrink_wing(rho, s: float, wing: int) -> np.ndarray:
+    """s * rho + (1 - s) * (rho with ``wing`` traced out and replaced by I/2),
+    which scales every Pauli component on that wing by ``s``."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    t = m.reshape(2, 2, 2, 2)  # indices (a, b; a', b')
+    if wing == 0:
+        replaced = np.kron(_HALF_I2, np.einsum("ijil->jl", t))
+    else:
+        replaced = np.kron(np.einsum("ijkj->ik", t), _HALF_I2)
+    return s * m + (1.0 - s) * replaced
+
+
 def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     """Average post-measurement state after both wings measure.
 
-    The 36-term sum over 3 directions and 2 outcomes per wing of
-    (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)).
+    Pauli components shrink by average_shrink(xi) on the first wing and by
+    average_shrink(lam) on the second.  The test oracle is the 36-term
+    Kraus sum over 3 directions and 2 outcomes per wing of
+    (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    acc = np.zeros((4, 4), dtype=complex)
-    for n_dir in _DIRECTIONS:
-        obs_a = measurement.UnsharpObservable(n_dir, xi)
-        roots_a = [measurement.sqrt_effect(obs_a, o) for o in _OUTCOMES]
-        for m_dir in _DIRECTIONS:
-            obs_b = measurement.UnsharpObservable(m_dir, lam)
-            roots_b = [measurement.sqrt_effect(obs_b, o) for o in _OUTCOMES]
-            for ra in roots_a:
-                for rb in roots_b:
-                    k = tensor(ra, rb)
-                    acc += k @ m @ k
-    return DensityMatrix(acc / 9.0)
+    m = _shrink_wing(rho, average_shrink(xi), wing=0)
+    return DensityMatrix(_shrink_wing(m, average_shrink(lam), wing=1))
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
-    """Average post-measurement state when only the second wing measures."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    acc = np.zeros((4, 4), dtype=complex)
-    for m_dir in _DIRECTIONS:
-        obs_b = measurement.UnsharpObservable(m_dir, lam)
-        for o in _OUTCOMES:
-            k = tensor(_I2, measurement.sqrt_effect(obs_b, o))
-            acc += k @ m @ k
-    return DensityMatrix(acc / 3.0)
+    """Average post-measurement state when only the second wing measures.
+
+    Pauli components on the second wing shrink by average_shrink(lam); the
+    test oracle is the 6-term Kraus sum of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
+    """
+    return DensityMatrix(_shrink_wing(rho, average_shrink(lam), wing=1))
 
 
 def violation_threshold(w: witness.WitnessOperator, rho, one_sided: bool = False) -> float:
@@ -184,21 +185,6 @@ def _stage_sharpness(threshold: float, slack: float, policy: EpsilonPolicy,
     return math.sqrt(value) if two_sided else value
 
 
-def _verify_symmetric_maximizer(product: float) -> None:
-    """Grid-check that xi = lam = sqrt(product) maximizes the state survival
-    factor (1 + 2 sqrt(1 - xi^2))(1 + 2 sqrt(1 - lam^2)) on the constraint
-    curve xi * lam = product."""
-    sym = 9.0 * average_shrink(math.sqrt(product)) ** 2
-    best = 0.0
-    for xi in np.linspace(product, 1.0, 201):
-        lam = product / xi
-        if lam > 1.0:
-            continue
-        best = max(best, 9.0 * average_shrink(xi) * average_shrink(lam))
-    if best > sym + 1e-6:
-        raise AssertionError("symmetric stage solution is not the constrained maximizer")
-
-
 def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
                 two_sided_stages: int | None, max_stages: int | None) -> ChainReport:
     """Shared greedy loop.
@@ -223,8 +209,6 @@ def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
             break
         s = _stage_sharpness(t, policy.slack_for_stage(stage), policy, two_sided)
         if two_sided:
-            if not policy.paper_rounding:
-                _verify_symmetric_maximizer(min(t + policy.slack_for_stage(stage), 1.0))
             stages.append((s, s))
             incoming.append(rho)
             rho = average_two_sided(rho, s, s)

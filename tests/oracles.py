@@ -71,6 +71,42 @@ def random_density_matrix(rng, dim):
     return rho / np.trace(rho).real
 
 
+def sqrt_effects(lam):
+    """Spectral square roots sqrt((1+lam)/2) P(o) + sqrt((1-lam)/2) P(-o) of
+    the six effects lam P(o) + (1 - lam)/2 I, outcomes o = +-1 along x, y, z."""
+    roots = []
+    for axis in ("x", "y", "z"):
+        for outcome in (+1, -1):
+            keep = (I2 + outcome * PAULIS[axis]) / 2.0
+            flip = (I2 - outcome * PAULIS[axis]) / 2.0
+            roots.append(math.sqrt((1.0 + lam) / 2.0) * keep
+                         + math.sqrt((1.0 - lam) / 2.0) * flip)
+    return roots
+
+
+def kraus_two_sided(rho, xi, lam):
+    """Setting- and outcome-averaged Lueders map on both wings: the 36-term
+    sum of K rho K with K = sqrt(E_a) x sqrt(E_b), divided by 9."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros((4, 4), dtype=complex)
+    for ra in sqrt_effects(xi):
+        for rb in sqrt_effects(lam):
+            k = kron4(ra, rb)
+            out += k @ rho @ k
+    return out / 9.0
+
+
+def kraus_one_sided(rho, lam):
+    """Averaged Lueders map on the second wing only: the 6-term sum of
+    K rho K with K = I x sqrt(E_b), divided by 3."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros((4, 4), dtype=complex)
+    for rb in sqrt_effects(lam):
+        k = kron4(I2, rb)
+        out += k @ rho @ k
+    return out / 3.0
+
+
 def closed_form_detectability(strength, lambdas):
     """Stage-wise (1 - lam^2 g) / 4 of a symmetric chain, g scaled after each
     stage by the squared single-wing attenuation (1 + 2 sqrt(1 - lam^2)) / 3."""

@@ -46,6 +46,20 @@ def test_channels_are_unital():
     assert np.max(np.abs(out.matrix - mixed)) < 1e-14
 
 
+def test_channels_match_kraus_oracle_on_generic_states():
+    rng = np.random.default_rng(7)
+    worst_two = worst_one = 0.0
+    for _ in range(200):
+        rho = oracles.random_density_matrix(rng, 4)
+        xi, lam = 1.0 - rng.uniform(size=2)  # in (0, 1]
+        two = seq.average_two_sided(rho, xi, lam).matrix
+        one = seq.average_one_sided(rho, lam).matrix
+        worst_two = max(worst_two, np.max(np.abs(two - oracles.kraus_two_sided(rho, xi, lam))))
+        worst_one = max(worst_one, np.max(np.abs(one - oracles.kraus_one_sided(rho, lam))))
+    assert worst_two < 1e-14
+    assert worst_one < 1e-14
+
+
 def test_one_sided_channel_closed_form():
     for p, lam in [(0.9, 0.44), (0.6, 1.0)]:
         rho = states.build(states.StateFamily.werner(p))
@@ -89,6 +103,32 @@ def test_violation_threshold_rejects_modulated_witness():
     w = witness.modulate(witness.witness_psi_plus(), 0.9, 0.9)
     with pytest.raises(ValueError):
         seq.violation_threshold(w, states.build(BELL))
+
+
+def _chain_products():
+    reports = []
+    for family in (BELL, states.StateFamily.werner(0.9)):
+        for rounding in (False, True):
+            symmetric = seq.EpsilonPolicy(paper_rounding=rounding)
+            asymmetric = seq.EpsilonPolicy.asymmetric_default(paper_rounding=rounding)
+            reports.append(seq.greedy_symmetric(family, symmetric))
+            reports += [seq.greedy_asymmetric(a, family, asymmetric) for a in (2, 3, 4)]
+    return {xi * lam for report in reports for xi, lam in report.schedule.stages}
+
+
+def test_symmetric_sharpness_maximizes_survival_on_constraint_curve():
+    """xi = lam = sqrt(p) maximizes s(xi) s(lam) on xi * lam = p, so a greedy
+    two-sided stage disturbs the state least at the symmetric point."""
+    rng = np.random.default_rng(11)
+    products = set(1.0 - rng.uniform(size=500)) | {1.0} | _chain_products()
+    assert len(products) > 501
+    for p in products:
+        symmetric = seq.average_shrink(math.sqrt(p)) ** 2
+        for xi in np.linspace(p, 1.0, 201):
+            lam = p / xi
+            if lam > 1.0:
+                continue
+            assert seq.average_shrink(xi) * seq.average_shrink(lam) <= symmetric + 1e-6
 
 
 def test_epsilon_policy_validation():
