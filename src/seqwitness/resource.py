@@ -23,7 +23,6 @@ from .sequential import ChainReport, SharpnessSchedule
 # than the exact-parameter 2.28; both routes are reported on the row.
 _COLORED_PARAM_DECIMALS = 2
 
-_BISECT_TOL = 1e-10
 _GRID_RESOLUTION = 1e-4
 
 
@@ -157,31 +156,26 @@ def solve_matching_parameter(kind: str, schedule: SharpnessSchedule,
                              target_detectability: float) -> float:
     """State parameter at which the non-sequential scheme matches a target.
 
-    Each of the three pairs measures its own copy of the state with the
-    given schedule; the summed witness expectations are matched to the
-    target by bisection (to 1e-10) over the family parameter.  Returns p
-    for werner/colored and theta for the pure family.
+    Each pair of the schedule measures its own copy of the state.  The
+    family witnesses carry no single-wing Pauli terms, so stage i
+    contributes (1 - xi_i lam_i g) / 4, where g is the state's correlation
+    strength: 3p (werner), 4p - 1 (colored), 1 + 2 sin(2 theta) (pure).
+    The summed target D therefore fixes g = (n - 4 D) / sum(xi_i lam_i),
+    which is inverted per family.  Returns p for werner/colored and theta
+    for the pure family; ``tests/oracles.py`` keeps a bisection over full
+    state builds (``bisect_matching_parameter``) as the independent check.
     """
     if kind not in (states.WERNER, states.COLORED, states.PURE):
         raise ValueError("matching parameter applies to werner, colored and pure families")
-    w = witness.family_witness(kind)
-    mods = [witness.modulate(w, xi, lam) for xi, lam in schedule.stages]
-
-    def total(param):
-        rho = states.build(states.StateFamily(kind, param))
-        return sum(witness.expectation(m, rho) for m in mods)
-
-    lo, hi = (1e-9, 1.0) if kind != states.PURE else (1e-9, math.pi / 4.0 - 1e-9)
-    f_lo, f_hi = total(lo) - target_detectability, total(hi) - target_detectability
-    if f_lo * f_hi > 0.0:
+    products = sum(xi * lam for xi, lam in schedule.stages)
+    if products <= 0.0:
+        raise ValueError("matching needs at least one stage")
+    strength = (len(schedule.stages) - 4.0 * target_detectability) / products
+    param = _param_for_strength(kind, strength)
+    hi = 1.0 if kind != states.PURE else math.pi / 4.0 - 1e-9
+    if param is None or not 1e-9 <= param <= hi:
         raise ValueError("target detectability is not reachable within the parameter range")
-    while hi - lo > _BISECT_TOL:
-        mid = (lo + hi) / 2.0
-        if (total(mid) - target_detectability) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return param
 
 
 def entanglement_budget(family: states.StateFamily, copies: int) -> float:
@@ -202,6 +196,16 @@ def _param_for_concurrence(kind: str, c: float) -> float:
     if kind == states.PURE:
         return math.asin(c) / 2.0
     raise ValueError("budget matching applies to werner, colored and pure families")
+
+
+def _param_for_strength(kind: str, g: float) -> float | None:
+    """Invert a family's correlation strength; None where no angle has it."""
+    if kind == states.WERNER:
+        return g / 3.0
+    if kind == states.COLORED:
+        return (g + 1.0) / 4.0
+    s = (g - 1.0) / 2.0
+    return math.asin(s) / 2.0 if -1.0 <= s <= 1.0 else None
 
 
 @dataclass(frozen=True)

@@ -203,3 +203,32 @@ def min_rom_lambdas(constraint, floor, copies=3):
         refine(best[:2], half, 21)
         half /= 5.0
     return best
+
+
+def bisect_matching_parameter(kind, schedule, target_detectability):
+    """Family parameter at which one copy per stage, measured with the
+    schedule, sums to the target detectability: a bisection to 1e-10 over
+    full state builds and materialized modulated witnesses.  Returns p for
+    werner/colored and theta for pure."""
+    from seqwitness import states, witness
+
+    if kind not in (states.WERNER, states.COLORED, states.PURE):
+        raise ValueError("matching parameter applies to werner, colored and pure families")
+    w = witness.family_witness(kind)
+    mods = [witness.modulate(w, xi, lam) for xi, lam in schedule.stages]
+
+    def total(param):
+        rho = states.build(states.StateFamily(kind, param))
+        return sum(witness.expectation(m, rho) for m in mods)
+
+    lo, hi = (1e-9, 1.0) if kind != states.PURE else (1e-9, math.pi / 4.0 - 1e-9)
+    f_lo, f_hi = total(lo) - target_detectability, total(hi) - target_detectability
+    if f_lo * f_hi > 0.0:
+        raise ValueError("target detectability is not reachable within the parameter range")
+    while hi - lo > 1e-10:
+        mid = (lo + hi) / 2.0
+        if (total(mid) - target_detectability) * f_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0

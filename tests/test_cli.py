@@ -176,6 +176,23 @@ def test_witness_eval_out_of_range_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["max-observers", "--state", "werner", "--p", "nan"],
+    ["max-observers", "--state", "werner", "--p", "inf"],
+    ["max-observers", "--state", "pure", "--theta", "nan"],
+    ["witness-eval", "--state", "bell", "--xi", "nan"],
+    ["witness-eval", "--state", "bell", "--lambda", "inf"],
+    ["max-observers", "--epsilon", "nan"],
+])
+def test_non_finite_input_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err
+    assert "Traceback" not in err
+
+
 def test_digits_flag_controls_precision(capsys):
     _, out = run(capsys, "witness-eval", "--state", "bell", "--xi", "0.777",
                  "--lambda", "0.777", "--format", "text", "--digits", "3")

@@ -15,6 +15,14 @@ def best_chain():
     return sequential.run_symmetric_schedule(BELL, BEST_SCHEDULE)
 
 
+def summed_expectation(kind, schedule, param):
+    """Summed stage witness values of one copy per stage, via the matrix route."""
+    rho = states.build(states.StateFamily(kind, param))
+    w = witness.family_witness(kind)
+    return sum(witness.expectation(witness.modulate(w, xi, lam), rho)
+               for xi, lam in schedule.stages)
+
+
 def test_detectability_best_schedule():
     report = resource.detectability(best_chain())
     assert report.per_stage[0] == pytest.approx(-0.149675, abs=1e-6)
@@ -130,27 +138,70 @@ def test_solve_matching_parameter_reproduces_target():
     schedule = best_chain().schedule
     for kind in ("werner", "colored", "pure"):
         param = resource.solve_matching_parameter(kind, schedule, -0.20)
-        w = witness.family_witness(kind)
-        rho = states.build(states.StateFamily(kind, param))
-        total = sum(witness.expectation(witness.modulate(w, xi, lam), rho)
-                    for xi, lam in schedule.stages)
-        assert total == pytest.approx(-0.20, abs=1e-9)
+        assert summed_expectation(kind, schedule, param) == pytest.approx(-0.20, abs=1e-9)
 
 
 def test_solve_matching_parameter_no_root():
     schedule = best_chain().schedule
     with pytest.raises(ValueError):
         resource.solve_matching_parameter("werner", schedule, -5.0)
+    # no stage, no root: the summed detectability is 0 for every parameter
+    for kind in ("werner", "colored", "pure"):
+        with pytest.raises(ValueError):
+            resource.solve_matching_parameter(kind, sequential.SharpnessSchedule(()), 0.0)
+
+
+def test_solve_matching_parameter_matches_bisection_oracle():
+    rng = np.random.default_rng(2024)
+    brackets = {"werner": (1e-9, 1.0), "colored": (1e-9, 1.0),
+                "pure": (1e-9, math.pi / 4.0 - 1e-9)}
+    solved = rejected = 0
+    signs = set()
+    for kind, (lo, hi) in brackets.items():
+        for case in range(115):
+            n = int(rng.integers(1, 6))
+            stages = tuple((float(xi), float(lam))
+                           for xi, lam in rng.uniform(0.01, 1.0, size=(n, 2)))
+            schedule = sequential.SharpnessSchedule(stages)
+            ends = (summed_expectation(kind, schedule, lo), summed_expectation(kind, schedule, hi))
+            if case < 10:
+                # just inside and just outside both ends of the bracket
+                targets = [end + delta for end in ends for delta in (-1e-5, 1e-5)]
+            else:
+                # strengths from -1.5 to 3.5 cover every family's range and beyond
+                products = sum(xi * lam for xi, lam in stages)
+                targets = [float((n - rng.uniform(-1.5, 3.5) * products) / 4.0)]
+            for target in targets:
+                if min(abs(target - end) for end in ends) < 1e-6:
+                    continue
+                try:
+                    expected = oracles.bisect_matching_parameter(kind, schedule, target)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        resource.solve_matching_parameter(kind, schedule, target)
+                    rejected += 1
+                    continue
+                got = resource.solve_matching_parameter(kind, schedule, target)
+                assert abs(got - expected) <= 1e-10, (kind, stages, target)
+                solved += 1
+                signs.add(target > 0.0)
+    assert solved >= 150 and rejected >= 100
+    assert signs == {True, False}
+
+
+def test_family_witnesses_carry_no_single_wing_terms():
+    # the closed-form matching parameter rests on (1 - xi lam g) / 4 per stage
+    for kind in ("werner", "colored", "pure"):
+        c = witness.family_witness(kind).coefficients
+        assert c[0, 0] == 0.25
+        assert not c[0, 1:].any() and not c[1:, 0].any()
 
 
 def test_werner_symbolic_identity():
     # three copies measured with (xi_i, lam_i): D = (3 - 3p sum(xi_i lam_i)) / 4
     schedule = sequential.SharpnessSchedule(((0.73, 0.73), (0.8, 0.8), (1.0, 1.0)))
-    w = witness.family_witness("werner")
     for p in np.linspace(0.1, 1.0, 7):
-        rho = states.build(states.StateFamily.werner(float(p)))
-        total = sum(witness.expectation(witness.modulate(w, xi, lam), rho)
-                    for xi, lam in schedule.stages)
+        total = summed_expectation("werner", schedule, float(p))
         products = sum(xi * lam for xi, lam in schedule.stages)
         assert total == pytest.approx((3 - 3 * p * products) / 4, abs=1e-12)
 
@@ -243,6 +294,13 @@ def test_comparison_tables_values():
     assert by_family_2["pure"].total_rom == pytest.approx(5.20, abs=0.03)
     assert by_family_2["werner"].quadratic_constraint == pytest.approx(2.28, abs=0.01)
     assert by_family_2["colored"].quadratic_constraint == pytest.approx(2.26, abs=0.01)
+
+
+def test_table1_eta_agrees_across_families():
+    # eta = 3 (g - 1) / 2 for every family at the matched strength g
+    tab1, _ = resource.build_comparison_tables()
+    etas = [row.eta_ebits for row in tab1[1:]]
+    assert max(etas) - min(etas) <= 1e-12
 
 
 def test_comparison_tables_sequential_advantage():
