@@ -34,8 +34,6 @@ class RunConfig:
     output_format: str = "json"
     seed: int = 0
     precision_digits: int = 6
-    scenario: sequential.ScenarioKind | None = None
-    policy: sequential.EpsilonPolicy | None = None
 
     def __post_init__(self):
         if self.output_format not in _FORMATS:
@@ -184,11 +182,10 @@ def _family_from_args(parser, args) -> states.StateFamily:
         parser.error(str(exc))
 
 
-def _run_config(parser, args, scenario=None, policy=None) -> RunConfig:
+def _run_config(parser, args) -> RunConfig:
     try:
         return RunConfig(output_format=args.format, seed=args.seed,
-                         precision_digits=args.digits,
-                         scenario=scenario, policy=policy)
+                         precision_digits=args.digits)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -208,7 +205,7 @@ def _cmd_max_observers(parser, args) -> int:
                                           paper_rounding=args.paper_rounding)
     except ValueError as exc:
         parser.error(str(exc))
-    config = _run_config(parser, args, scenario=scenario, policy=policy)
+    config = _run_config(parser, args)
     report = sequential.greedy_asymmetric(scenario.alices, family, policy,
                                           max_bobs=scenario.bobs)
     d = config.precision_digits

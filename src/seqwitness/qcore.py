@@ -16,8 +16,6 @@ import numpy as np
 VALIDATE_TOL = 1e-12
 # Tolerance for oracle-grade comparisons (eigen reconstruction, PSD floor).
 ORACLE_TOL = 1e-10
-# Off-diagonal mass at which the Jacobi sweep is considered converged.
-JACOBI_TOL = 1e-13
 
 _MAX_DIM = 4
 
@@ -95,66 +93,19 @@ def partial_transpose_b(rho) -> np.ndarray:
 
 
 def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as the columns of a unitary matrix.  Deterministic and
-    dependency-free; adequate for the 2x2/4x4 matrices used here.
+    eigenvectors as the columns of a unitary matrix.  LAPACK reads only one
+    triangle, so Hermiticity is checked here, and the decomposition must
+    reconstruct the input.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eigen_hermitian expects a square matrix")
     if not is_hermitian(m, tol=1e-10):
         raise ValueError("eigen_hermitian expects a Hermitian matrix")
-
-    n = m.shape[0]
-    a = m.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-
-    for _ in range(60):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag < 1e-300:
-                    continue
-                phase = apq / mag
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0
-                if tau == 0.0:
-                    t = 1.0
-                elif tau > 0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Column update with W = diag(1, e^{-i phi}) . R(theta) on (p, q).
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * col_p + c * np.conj(phase) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * row_p + c * phase * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * vp + c * np.conj(phase) * vq
-    else:
-        raise RuntimeError("Jacobi sweep failed to converge")
-
-    evals = np.diag(a).real.copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = v[:, order]
-
+    evals, vecs = np.linalg.eigh(m)
     recon = vecs @ np.diag(evals.astype(complex)) @ vecs.conj().T
     if np.max(np.abs(recon - m)) > ORACLE_TOL:
         raise RuntimeError("eigendecomposition reconstruction error exceeds tolerance")
@@ -163,12 +114,7 @@ def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value, i.e. the top eigenvalue of sqrt(M^dag M)."""
-    m = np.asarray(m, dtype=complex)
-    if is_hermitian(m):
-        evals, _ = eigen_hermitian(m)
-        return float(np.max(np.abs(evals)))
-    evals, _ = eigen_hermitian(m.conj().T @ m)
-    return float(np.sqrt(max(evals[-1], 0.0)))
+    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
 @dataclass(frozen=True)
@@ -189,9 +135,12 @@ class DensityMatrix:
             raise ValueError(f"trace {np.trace(m):.3g} differs from 1")
         if not is_hermitian(m):
             raise ValueError("density matrix must be Hermitian")
-        evals, _ = eigen_hermitian(m)
-        if evals[0] < -ORACLE_TOL:
-            raise ValueError(f"negative eigenvalue {evals[0]:.3g}")
+        # m + ORACLE_TOL * I has a Cholesky factor iff no eigenvalue is below
+        # -ORACLE_TOL, and a first Cholesky call pages in less than an eigensolve
+        try:
+            np.linalg.cholesky(m + ORACLE_TOL * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -90,9 +90,11 @@ def maximize_detectability(family: states.StateFamily,
                            ) -> DetectabilityReport:
     """Most negative 3-stage symmetric detectability with every stage negative.
 
-    Deterministic coarse-to-fine grid refinement to 1e-4 per parameter over
-    symmetric schedules (xi_i = lam_i).  On the initial state the stage
-    witness expectation is (1 - lam^2 g) / 4, and each stage scales g by the
+    Returns a grid optimum over symmetric schedules (xi_i = lam_i) from a
+    deterministic coarse-to-fine grid.  Each finer level spans only +-1.5
+    steps of the previous one, so windows can clip and the result can sit
+    short of the supremum.  On the initial state the stage witness
+    expectation is (1 - lam^2 g) / 4, and each stage scales g by the
     squared attenuation of its sharpness, so each level of the grid is swept
     one stage-1 value at a time, with numpy over the whole (lam2, lam3)
     slice.  The first minimum in the grid's lexicographic order is kept and
@@ -241,6 +243,10 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
 
     # Minimum of sum(lam) on the sphere slice sits at a boundary pattern:
     # free coordinates are equal, the rest pinned at the cap or the floor.
+    # The enumeration is exact: with two or more free coordinates the
+    # Lagrange point of sum(lam) on the sphere sum(lam^2) = C is a maximum,
+    # not a minimum, so the minimum has at most one free coordinate, and
+    # every such pattern is enumerated below.
     candidates = []
 
     def consider(fixed):
@@ -263,30 +269,6 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
     if not candidates:
         raise ValueError("no boundary solution satisfies the constraints")
     best = min(candidates, key=sum)
-
-    # Grid refinement cross-check: scan (lam1, lam2) with lam3 from the
-    # constraint, down to 1e-4, and keep whichever solution is smaller.  A
-    # scan point replaces the best only by a strictly smaller sum, and the
-    # first such minimum in scan order wins.
-    def refine(center, half, points):
-        nonlocal best
-        l1 = np.linspace(max(floor, center[0] - half), min(1.0, center[0] + half), points)
-        l2 = np.linspace(max(floor, center[1] - half), min(1.0, center[1] + half), points)
-        rest = constraint - (l1 * l1)[:, None] - l2 * l2
-        ok = (rest > floor * floor) & (rest <= 1.0 + 1e-12)
-        l3 = np.sqrt(np.clip(rest, 0.0, 1.0))
-        triples = np.stack(np.broadcast_arrays(l1[:, None], l2, l3), axis=-1)
-        triples.sort(axis=-1)
-        sums = np.where(ok, (triples[..., 2] + triples[..., 1]) + triples[..., 0], math.inf)
-        flat = int(np.argmin(sums))
-        if sums.flat[flat] < sum(best):
-            best = tuple(float(v) for v in triples.reshape(-1, 3)[flat, ::-1])
-
-    refine(((1.0 + floor) / 2.0, (1.0 + floor) / 2.0), (1.0 - floor) / 2.0, 41)
-    half = (1.0 - floor) / 40.0
-    while half > _GRID_RESOLUTION / 2.0:
-        refine(best[:2], half, 21)
-        half /= 5.0
 
     return NonSequentialSolution(kind=kind, param=param, strength=strength,
                                  per_pair_floor=floor, quadratic_constraint=constraint,

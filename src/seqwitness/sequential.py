@@ -67,13 +67,13 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     return DensityMatrix(_shrink_wing(rho, average_shrink(lam), wing=1))
 
 
-def violation_threshold(w: witness.WitnessOperator, rho, one_sided: bool = False) -> float:
+def violation_threshold(w: witness.WitnessOperator, rho) -> float:
     """Minimal sharpness product at which the witness expectation hits zero.
 
-    Detection requires strictly exceeding the returned value.  ``one_sided``
-    means the product is the single sharpness lam (xi pinned at 1); the
-    boundary itself is the same affine root either way.  Values above 1 are
-    returned as-is and mean detection is impossible.
+    Detection requires strictly exceeding the returned value.  The same
+    affine root bounds the two-sided product xi lam and the one-sided lam
+    (xi pinned at 1).  Values above 1 are returned as-is and mean detection
+    is impossible.
     """
     if w.modulation is not None:
         raise ValueError("threshold is defined for the unmodulated witness")
@@ -203,7 +203,7 @@ def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
     stage = 1
     while max_stages is None or len(stages) < max_stages:
         two_sided = two_sided_stages is None or stage <= two_sided_stages
-        t = violation_threshold(w, rho, one_sided=not two_sided)
+        t = violation_threshold(w, rho)
         thresholds.append(t)
         if not t < 1.0:
             break
@@ -263,7 +263,7 @@ def run_symmetric_schedule(family: states.StateFamily,
     thresholds = []
     incoming = []
     for lam in lambdas:
-        thresholds.append(violation_threshold(w, rho, one_sided=False))
+        thresholds.append(violation_threshold(w, rho))
         stages.append((lam, lam))
         incoming.append(rho)
         rho = average_two_sided(rho, lam, lam)

@@ -133,14 +133,23 @@ def test_eigen_simple_cases():
 
 def test_eigen_matches_lapack_and_reconstructs():
     rng = np.random.default_rng(13)
+    cases = []
     for dim in (2, 4):
         for _ in range(50):
             x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (x + x.conj().T) / 2
-            evals, vecs = qcore.eigen_hermitian(h)
-            assert np.allclose(evals, oracles.eigvals(h), atol=1e-10)
-            recon = vecs @ np.diag(evals.astype(complex)) @ vecs.conj().T
-            assert np.max(np.abs(recon - h)) < 1e-10
+            cases.append((x + x.conj().T) / 2)
+    # degenerate spectra: fourfold 1/4, and the triple 0.5 of the Bell
+    # projector's partial transpose
+    psi = psi_plus_ket()
+    cases.append(np.eye(4, dtype=complex) / 4)
+    cases.append(qcore.partial_transpose_b(np.outer(psi, psi.conj())))
+    for h in cases:
+        evals, vecs = qcore.eigen_hermitian(h)
+        assert np.all(np.diff(evals) >= 0.0)
+        assert np.allclose(evals, oracles.eigvals(h), atol=1e-10)
+        recon = vecs @ np.diag(evals.astype(complex)) @ vecs.conj().T
+        assert np.max(np.abs(recon - h)) < 1e-10
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(h.shape[0]))) < 1e-12
 
 
 def test_eigen_rejects_non_hermitian():
@@ -194,6 +203,23 @@ def test_density_matrix_validation():
         qcore.DensityMatrix(neg)  # negative eigenvalue
     with pytest.raises(ValueError):
         qcore.DensityMatrix(np.eye(3) / 3)  # bad dimension
+
+
+def test_density_matrix_negative_eigenvalue_threshold():
+    # a rotated spectrum keeps the smallest eigenvalue off the diagonal;
+    # -5e-11 is round-off the validation tolerates, -2e-10 is not
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(x)
+    for lowest, accepted in ((-5e-11, True), (-2e-10, False)):
+        spectrum = np.array([lowest, 0.2, 0.3, 0.5 - lowest])
+        m = u @ np.diag(spectrum.astype(complex)) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        if accepted:
+            qcore.DensityMatrix(m)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                qcore.DensityMatrix(m)
 
 
 def test_density_matrix_is_frozen():

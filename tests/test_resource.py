@@ -243,6 +243,30 @@ def test_min_rom_lambdas_match_scalar_scan(kind, budget, target):
     assert sol.rom == 2.0 * sum(expected)
 
 
+def test_min_rom_boundary_enumeration_matches_refined_oracle():
+    # the boundary-pattern enumeration alone must agree with the oracle's
+    # grid-refined answer on random feasible cases of every family
+    rng = np.random.default_rng(29)
+    checked = 0
+    worst = 0.0
+    for _ in range(3000):
+        kind = ("werner", "colored", "pure")[int(rng.integers(3))]
+        budget = float(rng.uniform(0.05, 3.0))
+        target = float(rng.uniform(-0.5, 0.2))
+        decimals = 2 if kind == "colored" else None
+        try:
+            sol = resource._solve_min_rom(kind, budget, target, param_decimals=decimals)
+        except ValueError:
+            continue
+        expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)
+        worst = max(worst, abs(sol.rom - 2.0 * sum(expected)))
+        checked += 1
+        if checked == 300:
+            break
+    assert checked == 300
+    assert worst <= 4e-15
+
+
 def test_min_rom_exhaustive_grid_oracle():
     # brute-force scan over ordered triples confirms the boundary solution
     sol = resource._solve_min_rom("werner", 1.0, -0.20)
