@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import sequential, states, witness
-from .qcore import expectation
 from .sequential import ChainReport, SharpnessSchedule
 
 # The colored-noise budget match is carried at two-decimal precision in the
@@ -23,7 +20,13 @@ from .sequential import ChainReport, SharpnessSchedule
 # than the exact-parameter 2.28; both routes are reported on the row.
 _COLORED_PARAM_DECIMALS = 2
 
-_GRID_RESOLUTION = 1e-4
+# The detectability optimum keeps every stage's witness value at or below
+# -_BOUNDARY_MARGIN; its stage-1 search scans _SCAN_POINTS sharpness values
+# and refines to _SEARCH_TOL.
+_BOUNDARY_MARGIN = 1e-12
+_SCAN_POINTS = 16
+_SEARCH_TOL = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -63,26 +66,16 @@ def detectability(chain: ChainReport) -> DetectabilityReport:
 
 
 def _base_strength(family: states.StateFamily) -> float:
-    """Sharpness-product coefficient of the witness expectation.
-
-    With e(mu) = (1 - mu * g) / 4 on the initial state, returns g; each
-    two-sided symmetric stage afterwards scales g by the squared wing
-    attenuation, because these witnesses carry no single-wing Pauli terms.
-    """
-    w = witness.family_witness(family.kind)
-    return 1.0 - 4.0 * expectation(w.matrix(), states.build(family))
-
-
-def _shrink_squared(lams: np.ndarray) -> np.ndarray:
-    """Squared single-wing attenuation (1 + 2 sqrt(1 - lam^2))^2 / 9 per
-    grid point.
-
-    The square is taken with Python's float power, as in the scalar
-    recursion: C ``pow`` can differ from ``s * s`` in the last bit, and the
-    grid's argmin must not depend on which one was used.
-    """
-    shrink = (1.0 + 2.0 * np.sqrt(1.0 - lams * lams)) / 3.0
-    return np.array([s ** 2 for s in shrink.tolist()])
+    """Correlation strength g of the input state, in e = (1 - xi lam g) / 4
+    per stage: 3 (bell), 3p (werner), 4p - 1 (colored) or
+    1 + 2 sin(2 theta) (pure), the values ``_param_for_strength`` inverts."""
+    if family.kind == states.BELL:
+        return 3.0
+    if family.kind == states.WERNER:
+        return 3.0 * family.param
+    if family.kind == states.COLORED:
+        return 4.0 * family.param - 1.0
+    return 1.0 + 2.0 * math.sin(2.0 * family.param)
 
 
 def maximize_detectability(family: states.StateFamily,
@@ -90,62 +83,62 @@ def maximize_detectability(family: states.StateFamily,
                            ) -> DetectabilityReport:
     """Most negative 3-stage symmetric detectability with every stage negative.
 
-    Returns a grid optimum over symmetric schedules (xi_i = lam_i) from a
-    deterministic coarse-to-fine grid.  Each finer level spans only +-1.5
-    steps of the previous one, so windows can clip and the result can sit
-    short of the supremum.  On the initial state the stage witness
-    expectation is (1 - lam^2 g) / 4, and each stage scales g by the
-    squared attenuation of its sharpness, so each level of the grid is swept
-    one stage-1 value at a time, with numpy over the whole (lam2, lam3)
-    slice.  The first minimum in the grid's lexicographic order is kept and
-    a later point replaces the best only by being strictly smaller, so the
-    chosen schedule is the one an element-by-element triple loop picks.  The
-    returned report is re-evaluated through the full matrix chain.
+    An exact active-set solve over symmetric schedules (xi_i = lam_i <=
+    cap_i).  Each stage scales the correlation strength g by s^2, with
+    s = (1 + 2u) / 3, u = sqrt(1 - lam^2), the ``sequential.average_shrink``
+    attenuation, so the total is
+    3/4 - (g/4) [lam1^2 + s1^2 lam2^2 + s1^2 s2^2 lam3^2].  Stage 3 takes
+    lam3 = cap3, which helps the total and its own witness.  Given lam1,
+    lam2^2 + cap3^2 s2^2 rises with lam2 up to u2 = 2 cap3^2 / (9 - 4 cap3^2)
+    <= 0.4, where s2 <= 0.6; stage 3 stops detecting before that, since
+    detection needs lam_i > 1/sqrt(g_i) and g <= 3 puts s1 <= 0.88, so
+    cap3^2 g s1^2 s2^2 < 1 there.  So lam2 is the largest value cap2 and
+    stage 3 allow.  The 1-D maximization left in lam1 is bracketed by a scan
+    and refined by golden-section search.
+
+    The supremum lies where a stage's witness reaches 0 (for bell, stage
+    3's), so each stage is held at or below -_BOUNDARY_MARGIN: every
+    returned stage detects, and the total is within O(_BOUNDARY_MARGIN) of
+    the supremum.  The report is evaluated through the matrix chain.
     """
     if not all(0.0 < cap <= 1.0 for cap in stage_caps):
         raise ValueError("stage caps must lie in (0, 1]")
-    strength = _base_strength(family)
+    g = _base_strength(family)
+    cap1, cap2, cap3 = stage_caps
+    need = 1.0 + 4.0 * _BOUNDARY_MARGIN  # witness <= -margin iff lam_i^2 g_i >= need
 
-    def grid(center, halfwidth, points, cap):
-        lo = max(0.02, center - halfwidth)
-        hi = min(cap, center + halfwidth)
-        return np.linspace(lo, hi, points)
+    def shrink(lam):  # sequential.average_shrink, inlined: ~240 calls per solve
+        return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
 
-    best = math.inf
-    best_lams = None
-    caps = stage_caps
-    axes = [np.arange(0.02, cap + 1e-12, 0.02) for cap in caps]
-    # include the cap itself; the optimum sits there for the last stage
-    axes = [np.unique(np.append(ax, cap)) for ax, cap in zip(axes, caps)]
-    step = 0.02
-    for _ in range(5):
-        ax1, ax2, ax3 = axes
-        sq1, sq2 = _shrink_squared(ax1), _shrink_squared(ax2)
-        lam2_sq = (ax2 * ax2)[:, None]
-        lam3_sq = ax3 * ax3
-        for l1, s1 in zip(ax1, sq1):
-            d1 = (1.0 - l1 * l1 * strength) / 4.0
-            if not d1 < 0.0:
-                continue
-            g2 = strength * s1
-            d2 = (1.0 - lam2_sq * g2) / 4.0
-            d3 = (1.0 - lam3_sq * (g2 * sq2)[:, None]) / 4.0
-            totals = np.where((d2 < 0.0) & (d3 < 0.0), (d1 + d2) + d3, math.inf)
-            flat = int(np.argmin(totals))
-            d = totals.flat[flat]
-            if d < best:
-                best = float(d)
-                j, k = divmod(flat, ax3.size)
-                best_lams = (float(l1), float(ax2[j]), float(ax3[k]))
-        if best_lams is None:
-            raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
-                             "with every stage detecting")
-        if step <= _GRID_RESOLUTION:
-            break
-        step /= 10.0
-        axes = [grid(c, 15.0 * step, 31, cap) for c, cap in zip(best_lams, caps)]
+    def stage_two(lam1):
+        """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2
+        after stage 1 at lam1, or (-inf, None) if no lam2 lets both stages
+        detect: stage 2 needs lam2 >= lo, stage 3 and the cap lam2 <= hi."""
+        s1 = shrink(lam1)
+        g2 = g * s1 * s1
+        lo = math.sqrt(need / g2)
+        u_min = max(0.0, (3.0 * math.sqrt(need / (cap3 * cap3 * g2)) - 1.0) / 2.0)
+        hi = min(cap2, math.sqrt(max(0.0, 1.0 - u_min * u_min)))
+        if lo > hi:
+            return -math.inf, None
+        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * shrink(hi)) ** 2), hi
 
-    chain = sequential.run_symmetric_schedule(family, best_lams)
+    # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
+    # room, so the feasible lam1 form an interval [lo, edge], and the
+    # search's ties between infeasible points move left, towards it.
+    lo = math.sqrt(need / g) if g >= need else math.inf
+    if lo > cap1 or stage_two(lo)[1] is None:
+        raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
+                         "with every stage detecting")
+    n = _SCAN_POINTS
+    scan = [lo + i * (cap1 - lo) / (n - 1) for i in range(n - 1)] + [cap1]
+    k = max(range(n), key=lambda i: stage_two(scan[i])[0])
+    a, b = scan[max(k - 1, 0)], scan[min(k + 1, n - 1)]
+    while b - a > _SEARCH_TOL:  # golden section; a stays feasible
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        a, b = (a, d) if stage_two(c)[0] >= stage_two(d)[0] else (c, b)
+    lam1 = max(a, scan[k], key=lambda lam: stage_two(lam)[0])
+    chain = sequential.run_symmetric_schedule(family, (lam1, stage_two(lam1)[1], cap3))
     return detectability(chain)
 
 

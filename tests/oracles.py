@@ -118,43 +118,105 @@ def closed_form_detectability(strength, lambdas):
     return tuple(per)
 
 
+def _shrink_squared(lams):
+    """Squared single-wing attenuation (1 + 2 sqrt(1 - lam^2))^2 / 9 per
+    grid point, squared with Python's float power as the scalar recursion
+    does (C ``pow`` can differ from ``s * s`` in the last bit)."""
+    shrink = (1.0 + 2.0 * np.sqrt(1.0 - lams * lams)) / 3.0
+    return np.array([s ** 2 for s in shrink.tolist()])
+
+
 def detectability_grid_argmax(strength, caps=(1.0, 1.0, 1.0)):
-    """Scalar triple-loop form of the coarse-to-fine detectability grid.
+    """Coarse-to-fine grid optimum of the 3-stage symmetric detectability.
 
-    Evaluates every grid point of every level one by one and keeps a point
-    only on strict improvement; returns the chosen (lam1, lam2, lam3).
+    Five levels: a 0.02-step grid (plus each cap), then 31-point windows of
+    +-1.5 steps around the best point, each step a tenth of the last.  Each
+    level is swept one stage-1 value at a time with numpy over the whole
+    (lam2, lam3) slice; the first minimum in lexicographic order is kept
+    and a later point replaces the best only by being strictly smaller, as
+    an element-by-element triple loop would.  Windows can clip, so the
+    result can sit short of the supremum.  Returns the chosen
+    (lam1, lam2, lam3).
     """
-    def total(lams):
-        per = closed_form_detectability(strength, lams)
-        if any(d >= 0.0 for d in per):
-            return None
-        return sum(per)
-
     def grid(center, halfwidth, points, cap):
         lo = max(0.02, center - halfwidth)
         hi = min(cap, center + halfwidth)
         return np.linspace(lo, hi, points)
 
-    best = None
+    best = math.inf
     best_lams = None
     axes = [np.arange(0.02, cap + 1e-12, 0.02) for cap in caps]
     axes = [np.unique(np.append(ax, cap)) for ax, cap in zip(axes, caps)]
     step = 0.02
     for _ in range(5):
-        for l1 in axes[0]:
-            for l2 in axes[1]:
-                for l3 in axes[2]:
-                    d = total((l1, l2, l3))
-                    if d is not None and (best is None or d < best):
-                        best = d
-                        best_lams = (float(l1), float(l2), float(l3))
-        if best is None:
+        ax1, ax2, ax3 = axes
+        sq1, sq2 = _shrink_squared(ax1), _shrink_squared(ax2)
+        lam2_sq = (ax2 * ax2)[:, None]
+        lam3_sq = ax3 * ax3
+        for l1, s1 in zip(ax1, sq1):
+            d1 = (1.0 - l1 * l1 * strength) / 4.0
+            if not d1 < 0.0:
+                continue
+            g2 = strength * s1
+            d2 = (1.0 - lam2_sq * g2) / 4.0
+            d3 = (1.0 - lam3_sq * (g2 * sq2)[:, None]) / 4.0
+            totals = np.where((d2 < 0.0) & (d3 < 0.0), (d1 + d2) + d3, math.inf)
+            flat = int(np.argmin(totals))
+            d = totals.flat[flat]
+            if d < best:
+                best = float(d)
+                j, k = divmod(flat, ax3.size)
+                best_lams = (float(l1), float(ax2[j]), float(ax3[k]))
+        if best_lams is None:
             raise ValueError("no 3-stage schedule with every stage detecting")
         if step <= 1e-4:
             break
         step /= 10.0
         axes = [grid(c, 15.0 * step, 31, cap) for c, cap in zip(best_lams, caps)]
     return best_lams
+
+
+def stage_three_boundary_min(strength, caps, points=1001, levels=6):
+    """Least 3-stage total along the curve where stage 3 stops detecting.
+
+    With lam3 = cap3, stage 3's witness (1 - cap3^2 g s1^2 s2^2) / 4 is 0
+    exactly when s2 = 1 / (cap3 sqrt(g) s1), which fixes lam2 from lam1.
+    Scans lam1 over [1/sqrt(g), cap1] at ``points`` points, keeps those
+    where stages 1 and 2 detect and lam2 lies in [0.02, cap2], and zooms
+    ``levels`` times onto +-1 step around the best.  Returns the least
+    total (stage 3 contributing 0), or None if no point qualifies.
+    """
+    cap1, cap2, cap3 = caps
+    lo, hi = 1.0 / math.sqrt(strength), cap1
+    best = None
+    for _ in range(levels):
+        if not lo < hi:
+            break
+        lam1 = np.linspace(lo, hi, points)
+        s1 = (1.0 + 2.0 * np.sqrt(1.0 - lam1 * lam1)) / 3.0
+        s2 = 1.0 / (cap3 * math.sqrt(strength) * s1)
+        u2 = np.clip((3.0 * s2 - 1.0) / 2.0, 0.0, 1.0)
+        lam2 = np.sqrt(1.0 - u2 * u2)
+        d1 = (1.0 - lam1 * lam1 * strength) / 4.0
+        d2 = (1.0 - lam2 * lam2 * strength * s1 * s1) / 4.0
+        ok = (s2 <= 1.0) & (d1 < 0.0) & (d2 < 0.0) & (lam2 >= 0.02) & (lam2 <= cap2)
+        if not ok.any():
+            break
+        totals = np.where(ok, d1 + d2, math.inf)
+        k = int(np.argmin(totals))
+        if best is None or totals[k] < best:
+            best = float(totals[k])
+        lo, hi = lam1[max(k - 1, 0)], lam1[min(k + 1, points - 1)]
+    return best
+
+
+def matrix_base_strength(family):
+    """Correlation strength of a family through the matrix route:
+    1 - 4 <W> of the family witness on the built state."""
+    from seqwitness import states, witness
+
+    w = witness.family_witness(family.kind)
+    return 1.0 - 4.0 * witness.expectation(w, states.build(family))
 
 
 def min_rom_lambdas(constraint, floor, copies=3):
