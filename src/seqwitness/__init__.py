@@ -9,24 +9,41 @@ states       the initial state families and their closed-form concurrences
 sequential   averaged measurement channels and greedy observer counting
 resource     detectability optimization and resource comparison tables
 cli          batch command-line interface
+
+The names below and the submodules load on first access, so importing the
+package loads no numpy; only the matrix layers (qcore, measurement,
+witness) import it.
 """
 
-from .measurement import PointerTradeoff, UnsharpObservable
-from .qcore import DensityMatrix
-from .sequential import ChainReport, EpsilonPolicy, ScenarioKind, SharpnessSchedule
-from .states import StateFamily
-from .witness import WitnessOperator
+import importlib
 
-__all__ = [
-    "ChainReport",
-    "DensityMatrix",
-    "EpsilonPolicy",
-    "PointerTradeoff",
-    "ScenarioKind",
-    "SharpnessSchedule",
-    "StateFamily",
-    "UnsharpObservable",
-    "WitnessOperator",
-]
+_EXPORTS = {
+    "ChainReport": "sequential",
+    "DensityMatrix": "qcore",
+    "EpsilonPolicy": "sequential",
+    "PointerTradeoff": "measurement",
+    "ScenarioKind": "sequential",
+    "SharpnessSchedule": "sequential",
+    "StateFamily": "states",
+    "UnsharpObservable": "measurement",
+    "WitnessOperator": "witness",
+}
+_SUBMODULES = ("qcore", "measurement", "witness", "states", "sequential", "resource", "cli")
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import resource, sequential, states, witness
+from . import resource, sequential, states
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -306,13 +306,18 @@ def _cmd_compare(parser, args) -> int:
     return EXIT_OK
 
 
+def _witness_value(family: states.StateFamily, xi: float, lam: float) -> float:
+    """Expectation of the family witness, modulated by (xi, lam), on the
+    family's state: (1 - xi lam g) / 4 with g its correlation strength."""
+    return (1.0 - xi * lam * states.correlation_strength(family)) / 4.0
+
+
 def _cmd_witness_eval(parser, args) -> int:
     family = _family_from_args(parser, args)
     config = _run_config(parser, args)
     if not (0.0 < args.xi <= 1.0 and 0.0 < args.lam <= 1.0):
         parser.error("--xi and --lambda must lie in (0, 1]")
-    w = witness.modulate(witness.family_witness(family.kind), args.xi, args.lam)
-    value = witness.expectation(w, states.build(family))
+    value = _witness_value(family, args.xi, args.lam)
     d = config.precision_digits
     if config.output_format == "json":
         payload = {"state": family.kind, "parameter": family.param,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import sequential, states, witness
+from . import states
 from .sequential import ChainReport, SharpnessSchedule
 
 # The colored-noise budget match is carried at two-decimal precision in the
@@ -55,6 +55,8 @@ class ComparisonRow:
 
 def detectability(chain: ChainReport) -> DetectabilityReport:
     """Evaluate each stage's modulated witness on its incoming state."""
+    from . import witness
+
     if chain.detected_stages < 1:
         raise ValueError("detectability needs at least one stage")
     w = witness.family_witness(chain.family.kind)
@@ -65,17 +67,24 @@ def detectability(chain: ChainReport) -> DetectabilityReport:
     return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
 
 
-def _base_strength(family: states.StateFamily) -> float:
-    """Correlation strength g of the input state, in e = (1 - xi lam g) / 4
-    per stage: 3 (bell), 3p (werner), 4p - 1 (colored) or
-    1 + 2 sin(2 theta) (pure), the values ``_param_for_strength`` inverts."""
-    if family.kind == states.BELL:
-        return 3.0
-    if family.kind == states.WERNER:
-        return 3.0 * family.param
-    if family.kind == states.COLORED:
-        return 4.0 * family.param - 1.0
-    return 1.0 + 2.0 * math.sin(2.0 * family.param)
+def _shrink(lam: float) -> float:
+    """A private copy of ``sequential.average_shrink`` for the solver's ~240
+    calls per solve, which so stay out of per-call traces of the public one."""
+    return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
+
+
+def _symmetric_report(g: float, lambdas) -> DetectabilityReport:
+    """Report of the symmetric schedule ``lambdas`` on a state of correlation
+    strength g, from the recursion e_i = (1 - lam_i^2 g_i) / 4,
+    g_{i+1} = g_i s(lam_i)^2: what ``detectability`` reads off the matrix
+    chain of ``sequential.run_symmetric_schedule``."""
+    per = []
+    for lam in lambdas:
+        per.append((1.0 - lam * lam * g) / 4.0)
+        s = _shrink(lam)
+        g *= s * s
+    return DetectabilityReport(per_stage=tuple(per), total=float(sum(per)),
+                               schedule=SharpnessSchedule(tuple((lam, lam) for lam in lambdas)))
 
 
 def maximize_detectability(family: states.StateFamily,
@@ -99,29 +108,26 @@ def maximize_detectability(family: states.StateFamily,
     The supremum lies where a stage's witness reaches 0 (for bell, stage
     3's), so each stage is held at or below -_BOUNDARY_MARGIN: every
     returned stage detects, and the total is within O(_BOUNDARY_MARGIN) of
-    the supremum.  The report is evaluated through the matrix chain.
+    the supremum.
     """
     if not all(0.0 < cap <= 1.0 for cap in stage_caps):
         raise ValueError("stage caps must lie in (0, 1]")
-    g = _base_strength(family)
+    g = states.correlation_strength(family)
     cap1, cap2, cap3 = stage_caps
     need = 1.0 + 4.0 * _BOUNDARY_MARGIN  # witness <= -margin iff lam_i^2 g_i >= need
-
-    def shrink(lam):  # sequential.average_shrink, inlined: ~240 calls per solve
-        return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
 
     def stage_two(lam1):
         """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2
         after stage 1 at lam1, or (-inf, None) if no lam2 lets both stages
         detect: stage 2 needs lam2 >= lo, stage 3 and the cap lam2 <= hi."""
-        s1 = shrink(lam1)
+        s1 = _shrink(lam1)
         g2 = g * s1 * s1
         lo = math.sqrt(need / g2)
         u_min = max(0.0, (3.0 * math.sqrt(need / (cap3 * cap3 * g2)) - 1.0) / 2.0)
         hi = min(cap2, math.sqrt(max(0.0, 1.0 - u_min * u_min)))
         if lo > hi:
             return -math.inf, None
-        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * shrink(hi)) ** 2), hi
+        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * _shrink(hi)) ** 2), hi
 
     # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
     # room, so the feasible lam1 form an interval [lo, edge], and the
@@ -138,8 +144,7 @@ def maximize_detectability(family: states.StateFamily,
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         a, b = (a, d) if stage_two(c)[0] >= stage_two(d)[0] else (c, b)
     lam1 = max(a, scan[k], key=lambda lam: stage_two(lam)[0])
-    chain = sequential.run_symmetric_schedule(family, (lam1, stage_two(lam1)[1], cap3))
-    return detectability(chain)
+    return _symmetric_report(g, (lam1, stage_two(lam1)[1], cap3))
 
 
 def total_rom(schedule: SharpnessSchedule) -> float:
@@ -194,7 +199,7 @@ def _param_for_concurrence(kind: str, c: float) -> float:
 
 
 def _param_for_strength(kind: str, g: float) -> float | None:
-    """Invert a family's correlation strength; None where no angle has it."""
+    """Invert ``states.correlation_strength``; None where no angle has g."""
     if kind == states.WERNER:
         return g / 3.0
     if kind == states.COLORED:
@@ -223,7 +228,7 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
     if param_decimals is not None:
         param = round(param, param_decimals)
     family = states.StateFamily(kind, param)
-    strength = _base_strength(family)
+    strength = states.correlation_strength(family)
 
     # Sum of (1 - lam_i^2 g)/4 = target fixes the quadratic constraint;
     # each pair detecting fixes the per-pair floor lam > 1/sqrt(g).
@@ -299,10 +304,10 @@ def build_comparison_tables(paper_rounded: bool = False
     so the anchor row reads (-0.20, 5.06, 1 ebit) independently of the
     optimizer's final refinement digits.
     """
-    opt = maximize_detectability(states.StateFamily.bell())
+    bell = states.StateFamily.bell()
+    opt = maximize_detectability(bell)
     canon = tuple(round(lam, 2) for lam, _ in opt.schedule.stages)
-    chain = sequential.run_symmetric_schedule(states.StateFamily.bell(), canon)
-    report = detectability(chain)
+    report = _symmetric_report(states.correlation_strength(bell), canon)
     if any(d >= 0.0 for d in report.per_stage):
         raise RuntimeError("canonical schedule lost stage-wise feasibility")
     target = round(report.total, 2)

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import states
 
-from . import states, witness
-from .qcore import DensityMatrix, expectation
+if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
+    import numpy as np
 
-_HALF_I2 = np.eye(2, dtype=complex) / 2.0
+    from .qcore import DensityMatrix
+    from .witness import WitnessOperator
 
 # Float guard when snapping a threshold onto the 0.01 grid.
 _GRID_EPS = 1e-9
@@ -37,12 +39,17 @@ def average_shrink(lam: float) -> float:
 def _shrink_wing(rho, s: float, wing: int) -> np.ndarray:
     """s * rho + (1 - s) * (rho with ``wing`` traced out and replaced by I/2),
     which scales every Pauli component on that wing by ``s``."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    import numpy as np
+
+    from . import qcore
+
+    m = rho.matrix if isinstance(rho, qcore.DensityMatrix) else np.asarray(rho, dtype=complex)
     t = m.reshape(2, 2, 2, 2)  # indices (a, b; a', b')
+    half = np.eye(2, dtype=complex) / 2.0
     if wing == 0:
-        replaced = np.kron(_HALF_I2, np.einsum("ijil->jl", t))
+        replaced = np.kron(half, np.einsum("ijil->jl", t))
     else:
-        replaced = np.kron(np.einsum("ijkj->ik", t), _HALF_I2)
+        replaced = np.kron(np.einsum("ijkj->ik", t), half)
     return s * m + (1.0 - s) * replaced
 
 
@@ -54,8 +61,10 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     Kraus sum over 3 directions and 2 outcomes per wing of
     (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
+    from . import qcore
+
     m = _shrink_wing(rho, average_shrink(xi), wing=0)
-    return DensityMatrix(_shrink_wing(m, average_shrink(lam), wing=1))
+    return qcore.DensityMatrix(_shrink_wing(m, average_shrink(lam), wing=1))
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
@@ -64,10 +73,12 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     Pauli components on the second wing shrink by average_shrink(lam); the
     test oracle is the 6-term Kraus sum of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
     """
-    return DensityMatrix(_shrink_wing(rho, average_shrink(lam), wing=1))
+    from . import qcore
+
+    return qcore.DensityMatrix(_shrink_wing(rho, average_shrink(lam), wing=1))
 
 
-def violation_threshold(w: witness.WitnessOperator, rho) -> float:
+def violation_threshold(w: WitnessOperator, rho) -> float:
     """Minimal sharpness product at which the witness expectation hits zero.
 
     Detection requires strictly exceeding the returned value.  The same
@@ -75,9 +86,11 @@ def violation_threshold(w: witness.WitnessOperator, rho) -> float:
     (xi pinned at 1).  Values above 1 are returned as-is and mean detection
     is impossible.
     """
+    from . import qcore
+
     if w.modulation is not None:
         raise ValueError("threshold is defined for the unmodulated witness")
-    full = expectation(w.matrix(), rho)
+    full = qcore.expectation(w.matrix(), rho)
     ident = w.identity_weight()
     slope = full - ident  # coefficient of the sharpness product
     if slope >= -1e-15:
@@ -194,6 +207,8 @@ def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
     the limit is reached the remaining wing-one observer is projective and
     stages modulate the witness on the second wing only.
     """
+    from . import witness
+
     w = witness.family_witness(family.kind)
     rho = states.build(family)
     stages: list[tuple[float, float]] = []
@@ -257,6 +272,8 @@ def run_symmetric_schedule(family: states.StateFamily,
     No feasibility decision is taken; thresholds and incoming states are
     recorded so the caller can evaluate stage-wise witness expectations.
     """
+    from . import witness
+
     w = witness.family_witness(family.kind)
     rho = states.build(family)
     stages = []

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy and qcore load on the first state build
+    import numpy as np
 
-from .qcore import DensityMatrix
+    from .qcore import DensityMatrix
 
 BELL = "bell"
 WERNER = "werner"
@@ -23,6 +25,8 @@ KINDS = (BELL, WERNER, COLORED, PURE)
 
 def ket(index: int) -> np.ndarray:
     """Computational basis ket |00>..|11> by index 0..3."""
+    import numpy as np
+
     v = np.zeros(4, dtype=complex)
     v[index] = 1.0
     return v
@@ -83,6 +87,10 @@ class StateFamily:
 
 def build(family: StateFamily) -> DensityMatrix:
     """Materialize the 4x4 density matrix of a state family."""
+    import numpy as np
+
+    from .qcore import DensityMatrix
+
     if family.kind == BELL:
         psi = psi_plus_ket()
         return DensityMatrix(np.outer(psi, psi.conj()))
@@ -108,3 +116,21 @@ def concurrence_closed_form(family: StateFamily) -> float:
     if family.kind == COLORED:
         return max(0.0, 2.0 * family.param - 1.0)
     return math.sin(2.0 * family.param)
+
+
+def correlation_strength(family: StateFamily) -> float:
+    """Correlation strength g seen by the family's witness: 3 (bell), 3p
+    (werner), 4p - 1 (colored) or 1 + 2 sin(2 theta) (pure).
+
+    Both family witnesses have identity weight 1/4 and no single-wing
+    Pauli terms, so a (xi, lam)-modulated family witness has expectation
+    (1 - xi lam g) / 4 on the state, and each averaged two-sided
+    measurement multiplies g by the two wings' attenuations.
+    """
+    if family.kind == BELL:
+        return 3.0
+    if family.kind == WERNER:
+        return 3.0 * family.param
+    if family.kind == COLORED:
+        return 4.0 * family.param - 1.0
+    return 1.0 + 2.0 * math.sin(2.0 * family.param)

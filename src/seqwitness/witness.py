@@ -21,7 +21,9 @@ from .qcore import is_hermitian, partial_transpose_b, pauli, tensor
 _NEGATIVITY_TOL = 1e-10
 
 _LABELS = ("identity", "x", "y", "z")
-_BASIS = [[tensor(pauli(a), pauli(b)) for b in _LABELS] for a in _LABELS]
+# _BASIS[i, j] is sigma_i x sigma_j.
+_BASIS = np.array([[tensor(pauli(a), pauli(b)) for b in _LABELS] for a in _LABELS])
+_BASIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,12 @@ class WitnessOperator:
         object.__setattr__(self, "coefficients", c)
 
     def matrix(self) -> np.ndarray:
-        """Materialize the 4x4 Hermitian operator."""
-        m = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                cij = self.coefficients[i, j]
-                if cij != 0.0:
-                    m += cij * _BASIS[i][j]
+        """The 4x4 Hermitian operator, built on first use and kept read-only."""
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = np.einsum("ij,ijkl->kl", self.coefficients, _BASIS)
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
         return m
 
     def identity_weight(self) -> float:
@@ -58,11 +59,8 @@ def from_matrix(m: np.ndarray) -> WitnessOperator:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4) or not is_hermitian(m):
         raise ValueError("witness source must be a Hermitian 4x4 matrix")
-    coeffs = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            coeffs[i, j] = np.trace(_BASIS[i][j] @ m).real / 4.0
-    return WitnessOperator(coeffs)
+    # Tr(B_ij m) / 4 for every basis element B_ij at once
+    return WitnessOperator(np.einsum("ijkl,lk->ij", _BASIS, m).real / 4.0)
 
 
 def witness_psi_plus() -> WitnessOperator:
@@ -87,13 +85,18 @@ def witness_phi_colored() -> WitnessOperator:
     return WitnessOperator(c)
 
 
+_PSI_PLUS = witness_psi_plus()
+_FAMILY_WITNESSES = {states.BELL: _PSI_PLUS, states.WERNER: _PSI_PLUS,
+                     states.PURE: _PSI_PLUS, states.COLORED: witness_phi_colored()}
+
+
 def family_witness(kind: str) -> WitnessOperator:
-    """The witness each state family is detected with."""
-    if kind in (states.BELL, states.WERNER, states.PURE):
-        return witness_psi_plus()
-    if kind == states.COLORED:
-        return witness_phi_colored()
-    raise ValueError(f"unknown state family {kind!r}")
+    """The witness each state family is detected with; one shared instance
+    per witness, so its matrix is built once."""
+    try:
+        return _FAMILY_WITNESSES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown state family {kind!r}") from None
 
 
 def witness_from_state(rho) -> WitnessOperator:

@@ -16,6 +16,18 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"identity": I2, "x": SX, "y": SY, "z": SZ}
 
 
+def witness_matrix(coefficients):
+    """Sum of c[i, j] sigma_i x sigma_j over the 16 Pauli products, (I, x, y, z)
+    order, term by term."""
+    labels = ("identity", "x", "y", "z")
+    m = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            if coefficients[i, j] != 0.0:
+                m += coefficients[i, j] * kron4(PAULIS[labels[i]], PAULIS[labels[j]])
+    return m
+
+
 def kron4(a, b):
     """Explicit 4x4 Kronecker product via index loops."""
     out = np.zeros((4, 4), dtype=complex)
@@ -210,7 +222,7 @@ def stage_three_boundary_min(strength, caps, points=1001, levels=6):
     return best
 
 
-def matrix_base_strength(family):
+def matrix_correlation_strength(family):
     """Correlation strength of a family through the matrix route:
     1 - 4 <W> of the family witness on the built state."""
     from seqwitness import states, witness

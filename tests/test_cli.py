@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqwitness import cli
@@ -224,3 +226,51 @@ def test_config_file_unknown_key_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["max-observers", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+def test_witness_eval_closed_form_matches_matrix_route():
+    # (1 - xi lam g) / 4 against the modulated family witness on the built state
+    from seqwitness import states, witness
+
+    rng = np.random.default_rng(23)
+    ranges = {"bell": None, "werner": (1e-6, 1.0), "colored": (1e-6, 1.0),
+              "pure": (1e-6, math.pi / 4.0 - 1e-6)}
+    for _ in range(500):
+        kind = str(rng.choice(list(ranges)))
+        param = None if kind == "bell" else float(rng.uniform(*ranges[kind]))
+        xi, lam = (float(v) for v in rng.uniform(1e-3, 1.0, size=2))
+        family = states.StateFamily(kind, param)
+        w = witness.modulate(witness.family_witness(kind), xi, lam)
+        expected = witness.expectation(w, states.build(family))
+        assert abs(cli._witness_value(family, xi, lam) - expected) <= 1e-15, (kind, param, xi, lam)
+
+
+def test_compare_and_witness_eval_load_no_numpy():
+    # a fresh interpreter: the package, compare and witness-eval stay numpy-free;
+    # the star import and the matrix chain of max-observers still work after
+    script = """
+import contextlib, io, sys
+import seqwitness
+from seqwitness import cli
+argvs = [["compare", "--format", fmt] for fmt in ("json", "csv", "text")]
+argvs += [["witness-eval", "--state", "pure", "--theta", "0.3", "--format", fmt]
+          for fmt in ("json", "csv", "text")]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, argv
+    assert out.getvalue().strip(), argv
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+assert not loaded, loaded[:5]
+namespace = {}
+exec("from seqwitness import *", namespace)
+assert all(name in namespace for name in seqwitness.__all__)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["max-observers", "--alices", "2", "--bobs", "20"]) == 0
+assert '"bobs_detected": 8' in out.getvalue()
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

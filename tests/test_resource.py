@@ -47,7 +47,7 @@ def test_detectability_requires_stages():
 
 def test_closed_form_detectability_matches_matrix_route():
     report = resource.detectability(best_chain())
-    strength = resource._base_strength(BELL)
+    strength = states.correlation_strength(BELL)
     closed = oracles.closed_form_detectability(strength, BEST_SCHEDULE)
     assert np.allclose(closed, report.per_stage, atol=1e-12)
 
@@ -92,7 +92,7 @@ def random_optimizer_cases(count, seed, ranges):
 def check_optimizer_case(family, caps):
     """The exact optimum against the grid oracle and the stage-3 boundary
     scan; returns the report and whether stage 3 binds."""
-    strength = resource._base_strength(family)
+    strength = states.correlation_strength(family)
     report = resource.maximize_detectability(family, caps)
     lams = [lam for _, lam in report.schedule.stages]
     assert all(xi == lam for xi, lam in report.schedule.stages)
@@ -145,7 +145,7 @@ def test_maximize_detectability_wide_ranges_reach_every_active_set():
             report, _ = check_optimizer_case(family, caps)
         except ValueError:
             with pytest.raises(ValueError):
-                oracles.detectability_grid_argmax(resource._base_strength(family), caps)
+                oracles.detectability_grid_argmax(states.correlation_strength(family), caps)
             continue
         solved += 1
         lams = [lam for _, lam in report.schedule.stages]
@@ -194,16 +194,6 @@ def test_maximize_detectability_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-
-
-def test_base_strength_matches_matrix_route():
-    rng = np.random.default_rng(11)
-    assert abs(resource._base_strength(BELL) - oracles.matrix_base_strength(BELL)) <= 1e-12
-    for kind, hi in (("werner", 1.0), ("colored", 1.0), ("pure", math.pi / 4.0)):
-        for param in rng.uniform(1e-6, hi, size=200):
-            family = states.StateFamily(kind, float(param))
-            got = resource._base_strength(family)
-            assert abs(got - oracles.matrix_base_strength(family)) <= 1e-12, (kind, param)
 
 
 def test_total_rom():
@@ -435,3 +425,41 @@ def test_comparison_tables_paper_rounded_columns():
     assert by_family["colored"].paper_rounded["quadratic_constraint"] == pytest.approx(2.26)
     plain1, plain2 = resource.build_comparison_tables()
     assert all(r.paper_rounded is None for r in plain1 + plain2)
+
+
+def test_closed_form_report_matches_matrix_chain():
+    # the recursion e_i = (1 - lam_i^2 g_i)/4, g_{i+1} = g_i s_i^2 behind every
+    # returned report, against the witness evaluated on the matrix chain
+    rng = np.random.default_rng(29)
+    ranges = {"bell": None, "werner": (1e-6, 1.0), "colored": (1e-6, 1.0),
+              "pure": (1e-6, math.pi / 4.0 - 1e-6)}
+    for _ in range(300):
+        kind = str(rng.choice(list(ranges)))
+        param = None if kind == "bell" else float(rng.uniform(*ranges[kind]))
+        family = states.StateFamily(kind, param)
+        lams = tuple(float(v) for v in rng.uniform(1e-3, 1.0, size=rng.integers(1, 5)))
+        report = resource._symmetric_report(states.correlation_strength(family), lams)
+        matrix = resource.detectability(sequential.run_symmetric_schedule(family, lams))
+        assert report.schedule == matrix.schedule
+        assert len(report.per_stage) == len(matrix.per_stage)
+        for got, want in zip(report.per_stage, matrix.per_stage):
+            assert abs(got - want) <= 1e-15, (kind, param, lams)
+        assert abs(report.total - matrix.total) <= 1e-15
+
+
+def test_total_rom_sums_measurement_rom_over_both_wings():
+    # RoM = sharpness: every observer's unsharp spin measurement adds its sharpness
+    from seqwitness import measurement
+
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        stages = tuple((float(xi), float(lam))
+                       for xi, lam in rng.uniform(1e-3, 1.0, size=(rng.integers(1, 6), 2)))
+        schedule = sequential.SharpnessSchedule(stages)
+        by_observer = 0.0
+        for xi, lam in stages:
+            for sharpness in (xi, lam):
+                d = rng.normal(size=3)
+                obs = measurement.UnsharpObservable(d / np.linalg.norm(d), sharpness)
+                by_observer += measurement.rom(obs)
+        assert resource.total_rom(schedule) == pytest.approx(by_observer, abs=1e-12)

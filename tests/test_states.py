@@ -76,3 +76,14 @@ def test_werner_twirl_invariance():
         q, _ = np.linalg.qr(x)
         u = oracles.kron4(q, sx @ q.conj() @ sx)
         assert np.max(np.abs(u @ rho @ u.conj().T - rho)) < 1e-12
+
+
+def test_correlation_strength_matches_matrix_route():
+    rng = np.random.default_rng(11)
+    bell = states.StateFamily.bell()
+    assert abs(states.correlation_strength(bell) - oracles.matrix_correlation_strength(bell)) <= 1e-12
+    for kind, hi in (("werner", 1.0), ("colored", 1.0), ("pure", math.pi / 4.0)):
+        for param in rng.uniform(1e-6, hi, size=200):
+            family = states.StateFamily(kind, float(param))
+            got = states.correlation_strength(family)
+            assert abs(got - oracles.matrix_correlation_strength(family)) <= 1e-12, (kind, param)

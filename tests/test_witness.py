@@ -158,3 +158,26 @@ def test_separability_floor_matches_direct_sampling():
         oracles.trace_product(wm, np.outer(np.kron(a, b), np.kron(a, b).conj())).real
         for a, b in zip(kets_a, kets_b))
     assert witness.separability_floor(w, n, seed=7) == pytest.approx(direct, abs=1e-12)
+
+
+def test_matrix_is_built_once_read_only_and_matches_term_loop():
+    rng = np.random.default_rng(5)
+    cases = [witness.witness_psi_plus(), witness.witness_phi_colored(),
+             witness.modulate(witness.witness_phi_colored(), 0.3, 0.9)]
+    cases += [witness.WitnessOperator(rng.normal(size=(4, 4))) for _ in range(50)]
+    for w in cases:
+        m = w.matrix()
+        assert np.max(np.abs(m - oracles.witness_matrix(w.coefficients))) <= 1e-15
+        assert w.matrix() is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_family_witness_returns_shared_instances():
+    for kind in states.KINDS:
+        assert witness.family_witness(kind) is witness.family_witness(kind)
+    assert witness.family_witness("bell") is witness.family_witness("werner")
+    assert witness.family_witness("colored") is not witness.family_witness("bell")
+    with pytest.raises(ValueError):
+        witness.family_witness("ghz")
