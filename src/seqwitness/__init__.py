@@ -5,7 +5,8 @@ Submodules
 qcore        dense 2x2/4x4 complex linear algebra and entanglement oracles
 measurement  unsharp spin observables, Lueders updates, measurement robustness
 witness      witness operators, sharpness modulation, separability checks
-states       the initial state families and their closed-form concurrences
+states       the initial state families, their correlation strength g and its
+             inverse, and their concurrences (g - 1) / 2
 sequential   averaged measurement channels and greedy observer counting
 resource     detectability optimization and resource comparison tables
 cli          batch command-line interface

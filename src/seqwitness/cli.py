@@ -78,11 +78,20 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
 _CONFIG_PARSERS = {
     "format": str, "seed": int, "digits": int, "state": str,
     "alices": int, "bobs": int, "p": float, "theta": float,
     "xi": float, "lam": float, "epsilon1": float, "epsilon": float,
-    "paper_rounding": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "paper_rounding": _parse_bool,
     "table": str,
 }
 

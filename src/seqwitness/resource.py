@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import states
-from .sequential import ChainReport, SharpnessSchedule
+from .sequential import ChainReport, SharpnessSchedule, average_shrink
 
 # The colored-noise budget match is carried at two-decimal precision in the
 # state parameter, which puts the derived quadratic constant at 2.26 rather
@@ -67,12 +67,6 @@ def detectability(chain: ChainReport) -> DetectabilityReport:
     return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
 
 
-def _shrink(lam: float) -> float:
-    """A private copy of ``sequential.average_shrink`` for the solver's ~240
-    calls per solve, which so stay out of per-call traces of the public one."""
-    return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
-
-
 def _symmetric_report(g: float, lambdas) -> DetectabilityReport:
     """Report of the symmetric schedule ``lambdas`` on a state of correlation
     strength g, from the recursion e_i = (1 - lam_i^2 g_i) / 4,
@@ -81,7 +75,7 @@ def _symmetric_report(g: float, lambdas) -> DetectabilityReport:
     per = []
     for lam in lambdas:
         per.append((1.0 - lam * lam * g) / 4.0)
-        s = _shrink(lam)
+        s = average_shrink(lam)
         g *= s * s
     return DetectabilityReport(per_stage=tuple(per), total=float(sum(per)),
                                schedule=SharpnessSchedule(tuple((lam, lam) for lam in lambdas)))
@@ -120,14 +114,14 @@ def maximize_detectability(family: states.StateFamily,
         """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2
         after stage 1 at lam1, or (-inf, None) if no lam2 lets both stages
         detect: stage 2 needs lam2 >= lo, stage 3 and the cap lam2 <= hi."""
-        s1 = _shrink(lam1)
+        s1 = average_shrink(lam1)
         g2 = g * s1 * s1
         lo = math.sqrt(need / g2)
         u_min = max(0.0, (3.0 * math.sqrt(need / (cap3 * cap3 * g2)) - 1.0) / 2.0)
         hi = min(cap2, math.sqrt(max(0.0, 1.0 - u_min * u_min)))
         if lo > hi:
             return -math.inf, None
-        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * _shrink(hi)) ** 2), hi
+        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * average_shrink(hi)) ** 2), hi
 
     # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
     # room, so the feasible lam1 form an interval [lo, edge], and the
@@ -158,20 +152,18 @@ def solve_matching_parameter(kind: str, schedule: SharpnessSchedule,
 
     Each pair of the schedule measures its own copy of the state.  The
     family witnesses carry no single-wing Pauli terms, so stage i
-    contributes (1 - xi_i lam_i g) / 4, where g is the state's correlation
-    strength: 3p (werner), 4p - 1 (colored), 1 + 2 sin(2 theta) (pure).
-    The summed target D therefore fixes g = (n - 4 D) / sum(xi_i lam_i),
-    which is inverted per family.  Returns p for werner/colored and theta
-    for the pure family; ``tests/oracles.py`` keeps a bisection over full
-    state builds (``bisect_matching_parameter``) as the independent check.
+    contributes (1 - xi_i lam_i g) / 4, where g is the state's
+    ``states.correlation_strength``.  The summed target D therefore fixes
+    g = (n - 4 D) / sum(xi_i lam_i), which ``states.param_for_strength``
+    inverts.  Returns p for werner/colored and theta for the pure family;
+    ``tests/oracles.py`` keeps a bisection over full state builds
+    (``bisect_matching_parameter``) as the independent check.
     """
-    if kind not in (states.WERNER, states.COLORED, states.PURE):
-        raise ValueError("matching parameter applies to werner, colored and pure families")
     products = sum(xi * lam for xi, lam in schedule.stages)
     if products <= 0.0:
         raise ValueError("matching needs at least one stage")
     strength = (len(schedule.stages) - 4.0 * target_detectability) / products
-    param = _param_for_strength(kind, strength)
+    param = states.param_for_strength(kind, strength)
     hi = 1.0 if kind != states.PURE else math.pi / 4.0 - 1e-9
     if param is None or not 1e-9 <= param <= hi:
         raise ValueError("target detectability is not reachable within the parameter range")
@@ -183,29 +175,6 @@ def entanglement_budget(family: states.StateFamily, copies: int) -> float:
     if copies < 1:
         raise ValueError("need at least one copy")
     return copies * states.concurrence_closed_form(family)
-
-
-def _param_for_concurrence(kind: str, c: float) -> float:
-    """Invert the closed-form concurrence of a family."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError("target concurrence must lie in (0, 1]")
-    if kind == states.WERNER:
-        return (2.0 * c + 1.0) / 3.0
-    if kind == states.COLORED:
-        return (c + 1.0) / 2.0
-    if kind == states.PURE:
-        return math.asin(c) / 2.0
-    raise ValueError("budget matching applies to werner, colored and pure families")
-
-
-def _param_for_strength(kind: str, g: float) -> float | None:
-    """Invert ``states.correlation_strength``; None where no angle has g."""
-    if kind == states.WERNER:
-        return g / 3.0
-    if kind == states.COLORED:
-        return (g + 1.0) / 4.0
-    s = (g - 1.0) / 2.0
-    return math.asin(s) / 2.0 if -1.0 <= s <= 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -222,11 +191,15 @@ class NonSequentialSolution:
 
 
 def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
-                   copies: int = 3, param_decimals: int | None = None
-                   ) -> NonSequentialSolution:
-    param = _param_for_concurrence(kind, ebit_budget / copies)
-    if param_decimals is not None:
-        param = round(param, param_decimals)
+                   copies: int = 3) -> NonSequentialSolution:
+    # Every family has concurrence (g - 1) / 2, so each copy holding c ebits
+    # has correlation strength 2c + 1.
+    c = ebit_budget / copies
+    if not 0.0 < c <= 1.0:
+        raise ValueError("target concurrence must lie in (0, 1]")
+    param = states.param_for_strength(kind, 2.0 * c + 1.0)
+    if kind == states.COLORED:
+        param = round(param, _COLORED_PARAM_DECIMALS)
     family = states.StateFamily(kind, param)
     strength = states.correlation_strength(family)
 
@@ -282,9 +255,7 @@ def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,
     expectations must reach the target; the reported value is the infimum
     over the closed constraint set.
     """
-    decimals = _COLORED_PARAM_DECIMALS if kind == states.COLORED else None
-    return _solve_min_rom(kind, ebit_budget, target_detectability,
-                          copies, param_decimals=decimals).rom
+    return _solve_min_rom(kind, ebit_budget, target_detectability, copies).rom
 
 
 def _paper_rounded_budget(kind: str, param: float, copies: int) -> dict:
@@ -331,8 +302,7 @@ def build_comparison_tables(paper_rounded: bool = False
             paper_rounded=_paper_rounded_budget(kind, param, copies) if paper_rounded else None,
         ))
 
-        decimals = _COLORED_PARAM_DECIMALS if kind == states.COLORED else None
-        sol = _solve_min_rom(kind, 1.0, target, copies, param_decimals=decimals)
+        sol = _solve_min_rom(kind, 1.0, target, copies)
         table2.append(ComparisonRow(
             family=kind, detectability=target, total_rom=sol.rom, eta_ebits=1.0,
             mode="fixed-eta-minimize-rom", matching_parameter=sol.param,

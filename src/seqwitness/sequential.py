@@ -141,9 +141,6 @@ class SharpnessSchedule:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def bob_sharpnesses(self) -> tuple[float, ...]:
-        return tuple(lam for _, lam in self.stages)
-
 
 @dataclass(frozen=True)
 class ScenarioKind:
@@ -190,11 +187,11 @@ def _grid_ceil_sqrt(x: float) -> float:
     return k / 100.0
 
 
-def _stage_sharpness(threshold: float, slack: float, policy: EpsilonPolicy,
+def _stage_sharpness(threshold: float, stage: int, policy: EpsilonPolicy,
                      two_sided: bool) -> float:
     if policy.paper_rounding:
         return _grid_ceil_sqrt(threshold) if two_sided else _grid_ceil(threshold)
-    value = min(threshold + slack, 1.0)
+    value = min(threshold + policy.slack_for_stage(stage), 1.0)
     return math.sqrt(value) if two_sided else value
 
 
@@ -215,23 +212,17 @@ def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
     thresholds: list[float] = []
     incoming: list[DensityMatrix] = []
 
-    stage = 1
     while max_stages is None or len(stages) < max_stages:
+        stage = len(stages) + 1
         two_sided = two_sided_stages is None or stage <= two_sided_stages
         t = violation_threshold(w, rho)
         thresholds.append(t)
         if not t < 1.0:
             break
-        s = _stage_sharpness(t, policy.slack_for_stage(stage), policy, two_sided)
-        if two_sided:
-            stages.append((s, s))
-            incoming.append(rho)
-            rho = average_two_sided(rho, s, s)
-        else:
-            stages.append((1.0, s))
-            incoming.append(rho)
-            rho = average_one_sided(rho, s)
-        stage += 1
+        s = _stage_sharpness(t, stage, policy, two_sided)
+        stages.append((s if two_sided else 1.0, s))
+        incoming.append(rho)
+        rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
 
     return ChainReport(family=family, detected_stages=len(stages),
                        schedule=SharpnessSchedule(tuple(stages)),

@@ -1,4 +1,5 @@
-"""Initial two-qubit state families and their closed-form concurrences.
+"""Initial two-qubit state families, their correlation strength g and its
+inverse, and their closed-form concurrences.
 
 Basis ordering is fixed as |00>, |01>, |10>, |11>.  The maximally entangled
 reference states are psi+ = (|01> + |10>)/sqrt(2) and
@@ -108,14 +109,9 @@ def build(family: StateFamily) -> DensityMatrix:
 
 
 def concurrence_closed_form(family: StateFamily) -> float:
-    """Known concurrence of each family (no spectral computation)."""
-    if family.kind == BELL:
-        return 1.0
-    if family.kind == WERNER:
-        return max(0.0, (3.0 * family.param - 1.0) / 2.0)
-    if family.kind == COLORED:
-        return max(0.0, 2.0 * family.param - 1.0)
-    return math.sin(2.0 * family.param)
+    """Known concurrence of each family, (g - 1) / 2 clipped at 0 (no
+    spectral computation)."""
+    return max(0.0, (correlation_strength(family) - 1.0) / 2.0)
 
 
 def correlation_strength(family: StateFamily) -> float:
@@ -125,7 +121,9 @@ def correlation_strength(family: StateFamily) -> float:
     Both family witnesses have identity weight 1/4 and no single-wing
     Pauli terms, so a (xi, lam)-modulated family witness has expectation
     (1 - xi lam g) / 4 on the state, and each averaged two-sided
-    measurement multiplies g by the two wings' attenuations.
+    measurement multiplies g by the two wings' attenuations.  Every family
+    has concurrence C = max(0, (g - 1) / 2); ``param_for_strength`` is the
+    inverse map.
     """
     if family.kind == BELL:
         return 3.0
@@ -134,3 +132,18 @@ def correlation_strength(family: StateFamily) -> float:
     if family.kind == COLORED:
         return 4.0 * family.param - 1.0
     return 1.0 + 2.0 * math.sin(2.0 * family.param)
+
+
+def param_for_strength(kind: str, g: float) -> float | None:
+    """Parameter at which a werner, colored or pure family has correlation
+    strength g: g / 3, (g + 1) / 4 or asin((g - 1) / 2) / 2, and None for
+    the pure family where no angle has g, outside [-1, 3].  The result is
+    not range-checked against the family's parameter interval."""
+    if kind == WERNER:
+        return g / 3.0
+    if kind == COLORED:
+        return (g + 1.0) / 4.0
+    if kind == PURE:
+        s = (g - 1.0) / 2.0
+        return math.asin(s) / 2.0 if -1.0 <= s <= 1.0 else None
+    raise ValueError("matching parameter applies to werner, colored and pure families")

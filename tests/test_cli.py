@@ -220,12 +220,23 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert out.startswith("bobs_detected: 5")
 
 
-def test_config_file_unknown_key_exit_2(tmp_path):
+@pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture"])
+def test_config_file_unknown_key_exit_2(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mystery=1\n")
+    cfg.write_text(line + "\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["max-observers", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value,flag", [("off", False), ("No", False), ("ON", True), ("1", True)])
+def test_config_file_paper_rounding_values(tmp_path, capsys, value, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"paper_rounding={value}\n")
+    argv = ["max-observers", "--state", "werner", "--p", "0.9"]
+    _, from_config = run(capsys, *argv, "--config", str(cfg))
+    _, from_flags = run(capsys, *argv, *(["--paper-rounding"] if flag else []))
+    assert from_config == from_flags
 
 
 def test_witness_eval_closed_form_matches_matrix_route():

@@ -306,7 +306,7 @@ def test_min_rom_internals():
     assert sol.quadratic_constraint == pytest.approx(2.28, abs=1e-9)
     assert sol.per_pair_floor == pytest.approx(math.sqrt(0.6), abs=1e-12)
     assert sol.lambdas[0] == pytest.approx(1.0, abs=1e-9)
-    sol_c = resource._solve_min_rom("colored", 1.0, -0.20, param_decimals=2)
+    sol_c = resource._solve_min_rom("colored", 1.0, -0.20)
     assert sol_c.param == 0.67
     assert sol_c.quadratic_constraint == pytest.approx(2.261905, abs=1e-6)
 
@@ -317,8 +317,7 @@ def test_min_rom_internals():
     ("werner", 2.9, -0.35), ("pure", 0.8, -0.10),
 ])
 def test_min_rom_lambdas_match_scalar_scan(kind, budget, target):
-    decimals = 2 if kind == "colored" else None
-    sol = resource._solve_min_rom(kind, budget, target, param_decimals=decimals)
+    sol = resource._solve_min_rom(kind, budget, target)
     expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)
     assert sol.lambdas == expected
     assert sol.rom == 2.0 * sum(expected)
@@ -334,9 +333,8 @@ def test_min_rom_boundary_enumeration_matches_refined_oracle():
         kind = ("werner", "colored", "pure")[int(rng.integers(3))]
         budget = float(rng.uniform(0.05, 3.0))
         target = float(rng.uniform(-0.5, 0.2))
-        decimals = 2 if kind == "colored" else None
         try:
-            sol = resource._solve_min_rom(kind, budget, target, param_decimals=decimals)
+            sol = resource._solve_min_rom(kind, budget, target)
         except ValueError:
             continue
         expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)

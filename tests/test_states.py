@@ -87,3 +87,21 @@ def test_correlation_strength_matches_matrix_route():
             family = states.StateFamily(kind, float(param))
             got = states.correlation_strength(family)
             assert abs(got - oracles.matrix_correlation_strength(family)) <= 1e-12, (kind, param)
+
+
+def test_param_for_strength_inverts_correlation_strength():
+    rng = np.random.default_rng(41)
+    for kind, hi in (("werner", 1.0), ("colored", 1.0), ("pure", math.pi / 4.0)):
+        for param in rng.uniform(1e-6, hi, size=200):
+            g = states.correlation_strength(states.StateFamily(kind, float(param)))
+            assert states.param_for_strength(kind, g) == pytest.approx(param, rel=1e-12, abs=0.0)
+
+
+def test_param_for_strength_pure_range_and_kinds():
+    assert states.param_for_strength("pure", 3.0) == pytest.approx(math.pi / 4.0)
+    assert states.param_for_strength("pure", -1.0) == pytest.approx(-math.pi / 4.0)
+    for g in (-1.0 - 1e-12, 3.0 + 1e-12, -5.0, 7.0):
+        assert states.param_for_strength("pure", g) is None
+    for kind in ("bell", "mystery"):
+        with pytest.raises(ValueError, match="werner, colored and pure"):
+            states.param_for_strength(kind, 2.0)
