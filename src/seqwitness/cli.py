@@ -24,6 +24,7 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 _FORMATS = ("json", "csv", "text")
+_TABLES = ("1", "2", "both")
 _TABLE1_HEADER = "family,detectability,total_rom,eta_ebits"
 
 
@@ -87,12 +88,23 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _choice(options):
+    """Parser accepting exactly the values of a flag's ``choices``; argparse
+    does not check defaults, which config values become, against them."""
+    def parse(value: str) -> str:
+        if value not in options:
+            raise ValueError(value)
+        return value
+    return parse
+
+
 _CONFIG_PARSERS = {
-    "format": str, "seed": int, "digits": int, "state": str,
+    "format": _choice(_FORMATS), "seed": int, "digits": int,
+    "state": _choice(states.KINDS),
     "alices": int, "bobs": int, "p": float, "theta": float,
     "xi": float, "lam": float, "epsilon1": float, "epsilon": float,
     "paper_rounding": _parse_bool,
-    "table": str,
+    "table": _choice(_TABLES),
 }
 
 
@@ -156,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare",
                            help="sequential vs non-sequential resource tables")
-    p_cmp.add_argument("--table", choices=("1", "2", "both"), default="both",
+    p_cmp.add_argument("--table", choices=_TABLES, default="both",
                        help="which table to emit (default both)")
     p_cmp.add_argument("--paper-rounding", dest="paper_rounding", action="store_true",
                        help="also emit two-decimal cascade columns")

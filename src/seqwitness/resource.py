@@ -21,12 +21,8 @@ from .sequential import ChainReport, SharpnessSchedule, average_shrink
 _COLORED_PARAM_DECIMALS = 2
 
 # The detectability optimum keeps every stage's witness value at or below
-# -_BOUNDARY_MARGIN; its stage-1 search scans _SCAN_POINTS sharpness values
-# and refines to _SEARCH_TOL.
+# -_BOUNDARY_MARGIN.
 _BOUNDARY_MARGIN = 1e-12
-_SCAN_POINTS = 16
-_SEARCH_TOL = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -89,20 +85,41 @@ def maximize_detectability(family: states.StateFamily,
     An exact active-set solve over symmetric schedules (xi_i = lam_i <=
     cap_i).  Each stage scales the correlation strength g by s^2, with
     s = (1 + 2u) / 3, u = sqrt(1 - lam^2), the ``sequential.average_shrink``
-    attenuation, so the total is
-    3/4 - (g/4) [lam1^2 + s1^2 lam2^2 + s1^2 s2^2 lam3^2].  Stage 3 takes
-    lam3 = cap3, which helps the total and its own witness.  Given lam1,
-    lam2^2 + cap3^2 s2^2 rises with lam2 up to u2 = 2 cap3^2 / (9 - 4 cap3^2)
-    <= 0.4, where s2 <= 0.6; stage 3 stops detecting before that, since
-    detection needs lam_i > 1/sqrt(g_i) and g <= 3 puts s1 <= 0.88, so
+    attenuation, so the total is 3/4 - g F / 4 with
+    F = lam1^2 + s1^2 lam2^2 + s1^2 s2^2 lam3^2.  Stage 3 takes lam3 = cap3,
+    which helps the total and its own witness.  Given lam1, lam2^2 +
+    cap3^2 s2^2 rises with lam2 up to u2 = 2 cap3^2 / (9 - 4 cap3^2) <= 0.4,
+    where s2 <= 0.6; stage 3 stops detecting before that, since detection
+    needs lam_i > 1/sqrt(g_i) and g <= 3 puts s1 <= 0.88, so
     cap3^2 g s1^2 s2^2 < 1 there.  So lam2 is the largest value cap2 and
-    stage 3 allow.  The 1-D maximization left in lam1 is bracketed by a scan
-    and refined by golden-section search.
+    stage 3 allow (``stage_two``).
+
+    Stage i detects with margin iff lam_i^2 g_i >= need = 1 + 4 margin.
+    With n = need / g, K = sqrt(n) / cap3 and u = u1, F is piecewise in u:
+
+    - stage 3 binds (s1 s2 = K, small u): F_B = const + (1/3 + K) u
+      - (2/3) u^2, concave, with its vertex at u = (1 + 3K) / 4;
+    - cap2 binds (large u): F_A = 1 - u^2 + C s1^2 with
+      C = cap2^2 + cap3^2 s(cap2)^2 <= 1.2 < 9/4, concave, with its vertex
+      at u = 2C / (9 - 4C);
+    - the pieces meet where the stage-3 bound on lam2 equals cap2, at
+      u = (9K / (1 + 2 sqrt(1 - cap2^2)) - 1) / 2.
+
+    Stage 1 bounds u above by sqrt(1 - n) (lam1 >= sqrt(n)); cap1 bounds it
+    below by sqrt(1 - cap1^2); stage 2 bounds it below on each piece, at
+    u = (3 sqrt(n) / cap2 - 1) / 2 on A and at s1 = 1/x+ on B, x+ the
+    positive root of (9K^2 + 4n) x^2 - 6K x - 3 = 0.  On both pieces
+    s1^2 lam2^2 rises with u, so the stage-2 edge is the larger bound.  On
+    the feasible interval the maximum of F is at an end, a vertex or the
+    breakpoint; each is scored with ``stage_two``, at most 12 calls.  Float
+    rounding can put the computed edge a few ulps outside the feasible
+    set, so it steps inward until ``stage_two`` accepts it.
 
     The supremum lies where a stage's witness reaches 0 (for bell, stage
     3's), so each stage is held at or below -_BOUNDARY_MARGIN: every
     returned stage detects, and the total is within O(_BOUNDARY_MARGIN) of
-    the supremum.
+    the supremum.  ``tests/oracles.py::golden_section_detectability`` keeps
+    a scan and golden-section search over lam1 as the independent check.
     """
     if not all(0.0 < cap <= 1.0 for cap in stage_caps):
         raise ValueError("stage caps must lie in (0, 1]")
@@ -124,21 +141,38 @@ def maximize_detectability(family: states.StateFamily,
         return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * average_shrink(hi)) ** 2), hi
 
     # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
-    # room, so the feasible lam1 form an interval [lo, edge], and the
-    # search's ties between infeasible points move left, towards it.
+    # room, so the feasible lam1 form an interval [lo, edge].
     lo = math.sqrt(need / g) if g >= need else math.inf
-    if lo > cap1 or stage_two(lo)[1] is None:
+    scored = {lo: stage_two(lo)}
+    if lo > cap1 or scored[lo][1] is None:
         raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
                          "with every stage detecting")
-    n = _SCAN_POINTS
-    scan = [lo + i * (cap1 - lo) / (n - 1) for i in range(n - 1)] + [cap1]
-    k = max(range(n), key=lambda i: stage_two(scan[i])[0])
-    a, b = scan[max(k - 1, 0)], scan[min(k + 1, n - 1)]
-    while b - a > _SEARCH_TOL:  # golden section; a stays feasible
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        a, b = (a, d) if stage_two(c)[0] >= stage_two(d)[0] else (c, b)
-    lam1 = max(a, scan[k], key=lambda lam: stage_two(lam)[0])
-    return _symmetric_report(g, (lam1, stage_two(lam1)[1], cap3))
+
+    def lam_of(u):
+        u = min(1.0, max(0.0, u))
+        return math.sqrt((1.0 - u) * (1.0 + u))
+
+    n = need / g
+    k = math.sqrt(n) / cap3
+    q = 9.0 * k * k + 4.0 * n
+    edge_a = (3.0 * math.sqrt(n) / cap2 - 1.0) / 2.0
+    edge_b = (3.0 * q / (3.0 * k + math.sqrt(9.0 * k * k + 3.0 * q)) - 1.0) / 2.0
+    top = max(lo, min(cap1, lam_of(max(edge_a, edge_b))))
+    for ulps in (0, 1, 3, 7, 15, 31, 63, 127):
+        edge = max(lo, top - ulps * math.ulp(top))
+        scored[edge] = stage_two(edge)
+        if scored[edge][1] is not None:
+            break
+
+    c = cap2 * cap2 + (cap3 * average_shrink(cap2)) ** 2
+    for u in ((1.0 + 3.0 * k) / 4.0,
+              2.0 * c / (9.0 - 4.0 * c),
+              (9.0 * k / (1.0 + 2.0 * math.sqrt(1.0 - cap2 * cap2)) - 1.0) / 2.0):
+        lam = min(edge, max(lo, lam_of(u)))
+        if lam not in scored:
+            scored[lam] = stage_two(lam)
+    lam1 = max(scored, key=lambda lam: scored[lam][0])
+    return _symmetric_report(g, (lam1, scored[lam1][1], cap3))
 
 
 def total_rom(schedule: SharpnessSchedule) -> float:

@@ -222,6 +222,53 @@ def stage_three_boundary_min(strength, caps, points=1001, levels=6):
     return best
 
 
+def golden_section_detectability(strength, caps=(1.0, 1.0, 1.0), margin=1e-12):
+    """3-stage symmetric detectability optimum by a stage-1 scan and search.
+
+    lam3 = cap3, and lam2 is the largest value cap2 and stage 3 allow given
+    lam1, as in the closed-form solve; lam1 is bracketed by a 16-point scan
+    and refined by golden-section search to 1e-12.  Every stage's witness
+    stays at or below -margin.  Returns (lam1, lam2, lam3), or raises
+    ValueError if no schedule lets every stage detect.
+    """
+    g = strength
+    cap1, cap2, cap3 = caps
+    need = 1.0 + 4.0 * margin  # witness <= -margin iff lam_i^2 g_i >= need
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def shrink(lam):
+        return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
+
+    def stage_two(lam1):
+        """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2
+        after stage 1 at lam1, or (-inf, None) if no lam2 lets both stages
+        detect: stage 2 needs lam2 >= lo, stage 3 and the cap lam2 <= hi."""
+        s1 = shrink(lam1)
+        g2 = g * s1 * s1
+        lo = math.sqrt(need / g2)
+        u_min = max(0.0, (3.0 * math.sqrt(need / (cap3 * cap3 * g2)) - 1.0) / 2.0)
+        hi = min(cap2, math.sqrt(max(0.0, 1.0 - u_min * u_min)))
+        if lo > hi:
+            return -math.inf, None
+        return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * shrink(hi)) ** 2), hi
+
+    # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
+    # room, so the feasible lam1 form an interval [lo, edge], and the
+    # search's ties between infeasible points move left, towards it.
+    lo = math.sqrt(need / g) if g >= need else math.inf
+    if lo > cap1 or stage_two(lo)[1] is None:
+        raise ValueError("no 3-stage schedule with every stage detecting")
+    n = 16
+    scan = [lo + i * (cap1 - lo) / (n - 1) for i in range(n - 1)] + [cap1]
+    k = max(range(n), key=lambda i: stage_two(scan[i])[0])
+    a, b = scan[max(k - 1, 0)], scan[min(k + 1, n - 1)]
+    while b - a > 1e-12:  # golden section; a stays feasible
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        a, b = (a, d) if stage_two(c)[0] >= stage_two(d)[0] else (c, b)
+    lam1 = max(a, scan[k], key=lambda lam: stage_two(lam)[0])
+    return lam1, stage_two(lam1)[1], cap3
+
+
 def matrix_correlation_strength(family):
     """Correlation strength of a family through the matrix route:
     1 - 4 <W> of the family witness on the built state."""

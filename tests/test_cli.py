@@ -11,6 +11,14 @@ import pytest
 from seqwitness import cli
 
 
+def package_env():
+    """Environment for a child interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -136,9 +144,7 @@ def test_compare_paper_rounding_text_clause(capsys):
 def test_closed_stdout_exits_1_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = package_env()
     try:
         proc = subprocess.run([sys.executable, "-m", "seqwitness.cli", "witness-eval",
                                "--state", "bell", "--xi", "0.5", "--lambda", "0.5"],
@@ -147,6 +153,23 @@ def test_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_compare_closed_stdout_pipe_exits_1_without_traceback():
+    # the reader goes away while the child is still starting, so its first
+    # write to stdout hits a closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "seqwitness.cli", "compare",
+                             "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+        proc.kill()
+    assert code == 1
+    assert err == b""
 
 
 def test_witness_eval_values(capsys):
@@ -220,13 +243,19 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert out.startswith("bobs_detected: 5")
 
 
-@pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture"])
-def test_config_file_unknown_key_exit_2(tmp_path, line):
+@pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture", "table=9",
+                                  "state=foo", "format=xml"])
+def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
+    # choice-valued keys are checked against the flag's choices, so a bad
+    # value is a usage error for every subcommand, not a silent default
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["max-observers", "--config", str(cfg)])
-    assert exc.value.code == 2
+    for command in ("max-observers", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        key = line.partition("=")[0]
+        assert f"config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,flag", [("off", False), ("No", False), ("ON", True), ("1", True)])
@@ -279,9 +308,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["max-observers", "--alices", "2", "--bobs", "20"]) == 0
 assert '"bobs_detected": 8' in out.getvalue()
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
