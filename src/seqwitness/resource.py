@@ -224,8 +224,36 @@ class NonSequentialSolution:
     rom: float
 
 
+def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, ...]:
+    """Least-sum(lam) point, descending, with sum(lam^2) = constraint and
+    floor <= lam <= 1.  sum(lam) is Schur-concave in x = lam^2, so the least
+    point of the slice sum(x) = constraint of [floor^2, 1]^copies is its
+    majorization-maximal point, the greedy fill: floor(q) lambdas at 1,
+    q = (constraint - copies floor^2) / (1 - floor^2), one free, the rest at
+    the floor.  Its pattern changes at q = e; the three patterns next to
+    e = round(q) (e - 1 or e at 1 and one free; e at 1 and none free, within
+    1e-12) are scored as ``tests/oracles.py::boundary_pattern_lambdas`` does,
+    and the first least sum wins."""
+    f2 = floor * floor
+    edge = min(copies, max(0, round((constraint - copies * f2) / (1.0 - f2))))
+    candidates = []
+    for n_cap in (edge - 1, edge):
+        fixed = (1.0,) * n_cap + (floor,) * (copies - n_cap - 1)
+        remaining = constraint - sum(v * v for v in fixed)
+        if 0 <= n_cap < copies and remaining > 0.0 and floor <= math.sqrt(remaining) <= 1.0:
+            candidates.append(fixed[:n_cap] + (math.sqrt(remaining),) + fixed[n_cap:])
+    pinned = (1.0,) * edge + (floor,) * (copies - edge)
+    if abs(constraint - sum(v * v for v in pinned)) < 1e-12:
+        candidates.append(pinned)
+    return min(candidates, key=sum)
+
+
 def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
                    copies: int = 3) -> NonSequentialSolution:
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    if not (math.isfinite(ebit_budget) and math.isfinite(target_detectability)):
+        raise ValueError("ebit budget and target detectability must be finite")
     # Every family has concurrence (g - 1) / 2, so each copy holding c ebits
     # has correlation strength 2c + 1.
     c = ebit_budget / copies
@@ -246,35 +274,7 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
     if constraint > float(copies) or constraint <= copies * floor**2:
         raise ValueError("detectability and budget constraints are jointly infeasible")
 
-    # Minimum of sum(lam) on the sphere slice sits at a boundary pattern:
-    # free coordinates are equal, the rest pinned at the cap or the floor.
-    # The enumeration is exact: with two or more free coordinates the
-    # Lagrange point of sum(lam) on the sphere sum(lam^2) = C is a maximum,
-    # not a minimum, so the minimum has at most one free coordinate, and
-    # every such pattern is enumerated below.
-    candidates = []
-
-    def consider(fixed):
-        remaining = constraint - sum(v * v for v in fixed)
-        n_free = copies - len(fixed)
-        if n_free == 0:
-            if abs(remaining) < 1e-12:
-                candidates.append(tuple(sorted(fixed, reverse=True)))
-            return
-        if remaining <= 0.0:
-            return
-        m = math.sqrt(remaining / n_free)
-        if floor <= m <= 1.0:
-            candidates.append(tuple(sorted(list(fixed) + [m] * n_free, reverse=True)))
-
-    for n_cap in range(copies + 1):
-        for n_floor in range(copies + 1 - n_cap):
-            consider([1.0] * n_cap + [floor] * n_floor)
-
-    if not candidates:
-        raise ValueError("no boundary solution satisfies the constraints")
-    best = min(candidates, key=sum)
-
+    best = _greedy_fill(constraint, floor, copies)
     return NonSequentialSolution(kind=kind, param=param, strength=strength,
                                  per_pair_floor=floor, quadratic_constraint=constraint,
                                  lambdas=best, rom=2.0 * sum(best))
@@ -284,10 +284,9 @@ def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,
                   copies: int = 3) -> float:
     """Least total RoM of a non-sequential scheme at fixed entanglement.
 
-    The per-copy state parameter is set so ``copies`` copies hold
-    ``ebit_budget`` ebits, every pair must detect, and the summed
-    expectations must reach the target; the reported value is the infimum
-    over the closed constraint set.
+    ``copies`` copies hold ``ebit_budget`` ebits, every pair must detect, and
+    the summed expectations must reach the target.  The value, the infimum
+    over the closed constraint set, is the greedy fill of ``_greedy_fill``.
     """
     return _solve_min_rom(kind, ebit_budget, target_detectability, copies).rom
 

@@ -278,14 +278,14 @@ def matrix_correlation_strength(family):
     return 1.0 - 4.0 * witness.expectation(w, states.build(family))
 
 
-def min_rom_lambdas(constraint, floor, copies=3):
-    """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1.
-
-    Boundary patterns (free coordinates equal, the rest at the cap or the
-    floor) give a start, then a scalar (lam1, lam2) scan with lam3 from the
-    constraint refines it to 1e-4, keeping a point only on strict
-    improvement.  Returns the triple in descending order.
-    """
+def boundary_pattern_lambdas(constraint, floor, copies, max_free=None):
+    """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1
+    over every boundary pattern: n_cap lambdas at the cap, n_floor at the
+    floor and the free rest equal, for each (n_cap, n_floor) in turn.  A
+    pattern with no free lambda counts when it meets the constraint to
+    1e-12; with ``max_free`` set, patterns with more free lambdas are
+    skipped.  The first least sum wins.  Returns the lambdas in descending
+    order, or raises ValueError if no pattern fits."""
     candidates = []
 
     def consider(fixed):
@@ -303,8 +303,21 @@ def min_rom_lambdas(constraint, floor, copies=3):
 
     for n_cap in range(copies + 1):
         for n_floor in range(copies + 1 - n_cap):
-            consider([1.0] * n_cap + [floor] * n_floor)
-    best = min(candidates, key=sum)
+            if max_free is None or copies - n_cap - n_floor <= max_free:
+                consider([1.0] * n_cap + [floor] * n_floor)
+    if not candidates:
+        raise ValueError("no boundary solution satisfies the constraints")
+    return min(candidates, key=sum)
+
+
+def min_rom_lambdas(constraint, floor, copies=3):
+    """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1.
+
+    ``boundary_pattern_lambdas`` gives a start, then a scalar (lam1, lam2)
+    scan with lam3 from the constraint refines it to 1e-4, keeping a point
+    only on strict improvement.  Returns the triple in descending order.
+    """
+    best = boundary_pattern_lambdas(constraint, floor, copies)
 
     def refine(center, half, points):
         nonlocal best

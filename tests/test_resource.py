@@ -353,8 +353,8 @@ def test_min_rom_lambdas_match_scalar_scan(kind, budget, target):
 
 
 def test_min_rom_boundary_enumeration_matches_refined_oracle():
-    # the boundary-pattern enumeration alone must agree with the oracle's
-    # grid-refined answer on random feasible cases of every family
+    # the closed-form fill must agree with the oracle's grid-refined answer
+    # on random feasible cases of every family
     rng = np.random.default_rng(29)
     checked = 0
     worst = 0.0
@@ -395,9 +395,106 @@ def test_min_rom_bounds():
     assert 2 * math.sqrt(sol.quadratic_constraint) <= rom <= 6.0
 
 
-def test_min_rom_infeasible():
-    with pytest.raises(ValueError):
-        resource.min_total_rom("werner", 0.03, -0.20)
+@pytest.mark.parametrize("budget,target,copies,message", [
+    (0.03, -0.20, 3, "jointly infeasible"),   # C above n
+    (1.0, 0.05, 3, "jointly infeasible"),     # C below n floor^2
+    (3.3, -0.20, 3, "concurrence"),           # 1.1 ebit per copy
+    (1.5, -0.20, 1, "concurrence"),
+    (0.0, -0.20, 3, "concurrence"),
+    (-1.0, -0.20, 3, "concurrence"),
+])
+def test_min_rom_infeasible(budget, target, copies, message):
+    with pytest.raises(ValueError, match=message):
+        resource.min_total_rom("werner", budget, target, copies)
+
+
+@pytest.mark.parametrize("copies", [0, -1])
+def test_min_rom_needs_a_copy(copies):
+    with pytest.raises(ValueError, match="need at least one copy"):
+        resource.min_total_rom("werner", 1.0, -0.20, copies)
+    with pytest.raises(ValueError, match="need at least one copy"):
+        resource._solve_min_rom("pure", 1.0, -0.20, copies)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["werner", "colored", "pure"])
+def test_min_rom_rejects_non_finite_input(kind, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        resource.min_total_rom(kind, value, -0.20)
+    with pytest.raises(ValueError, match="must be finite"):
+        resource.min_total_rom(kind, 1.0, value)
+
+
+def test_greedy_fill_matches_boundary_enumeration_on_random_cases():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(20_000):
+        copies = int(rng.integers(1, 7))
+        floor = float(rng.uniform(0.0, 1.0))
+        constraint = float(rng.uniform(copies * floor * floor, copies))
+        if not copies * floor**2 < constraint <= copies:
+            continue
+        assert (resource._greedy_fill(constraint, floor, copies)
+                == oracles.boundary_pattern_lambdas(constraint, floor, copies))
+        checked += 1
+    assert checked >= 19_990
+
+
+def edge_cases(floors):
+    """(constraint, floor, copies) within 0, 1, 2 and 4 ulps either side of
+    every pattern edge k + (copies - k) floor^2, inside (copies floor^2,
+    copies]."""
+    for floor in floors:
+        for copies in range(1, 7):
+            for k in range(copies + 1):
+                edge = k + (copies - k) * floor * floor
+                for ulps in (0, 1, 2, 4):
+                    for direction in (math.inf, -math.inf):
+                        c = edge
+                        for _ in range(ulps):
+                            c = math.nextafter(c, direction)
+                        if copies * floor**2 < c <= copies:
+                            yield c, floor, copies
+
+
+def test_greedy_fill_matches_boundary_enumeration_at_pattern_edges():
+    # At an edge the enumeration's patterns with two or more free lambdas
+    # tie the fill in exact arithmetic and can undercut it by rounding, so
+    # the fill matches the enumeration of patterns with at most one free
+    # lambda exactly, and the full enumeration's sum within the rounding of
+    # the free lambda, sqrt of a difference of sums of up to six squares.
+    rng = np.random.default_rng(43)
+    floors = [1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0), 0.5, 0.1]
+    floors += [float(f) for f in rng.uniform(0.01, 0.99, 60)]
+    checked = 0
+    for c, floor, copies in edge_cases(floors):
+        fill = resource._greedy_fill(c, floor, copies)
+        assert fill == oracles.boundary_pattern_lambdas(c, floor, copies, max_free=1)
+        full = oracles.boundary_pattern_lambdas(c, floor, copies)
+        assert 0.0 <= sum(fill) - sum(full) <= 8 * copies * math.ulp(copies) / floor
+        checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("floor", [
+    1e-12, 0.3, 1.0 / math.sqrt(3.0), 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14,
+    math.nextafter(1.0, 0.0),
+])
+def test_greedy_fill_finds_a_feasible_point_everywhere(floor):
+    # Down to a floor an ulp below the cap, where the whole slice lies
+    # within 1e-12 of every pattern edge, some scored pattern fits.
+    rng = np.random.default_rng(47)
+    for copies in range(1, 7):
+        lo = copies * floor**2
+        cases = [math.nextafter(lo, math.inf), float(copies)]
+        cases += [c for c, _, n in edge_cases([floor]) if n == copies]
+        cases += [float(c) for c in rng.uniform(lo, copies, 50) if lo < c <= copies]
+        for c in cases:
+            fill = resource._greedy_fill(c, floor, copies)
+            assert len(fill) == copies
+            assert list(fill) == sorted(fill, reverse=True)
+            assert all(floor <= lam <= 1.0 for lam in fill)
+            assert abs(sum(lam * lam for lam in fill) - c) < 1e-12
 
 
 def test_comparison_tables_shape_and_sequential_row():
