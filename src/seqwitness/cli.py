@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import resource, sequential, states
 
@@ -28,28 +27,12 @@ _TABLES = ("1", "2", "both")
 _TABLE1_HEADER = "family,detectability,total_rom,eta_ebits"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated execution settings shared by the subcommands."""
-
-    output_format: str = "json"
-    seed: int = 0
-    precision_digits: int = 6
-
-    def __post_init__(self):
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if not 2 <= self.precision_digits <= 12:
-            raise ValueError("precision digits must lie in [2, 12]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
 def _quantize(value, digits: int):
-    """Round floats to ``digits`` significant figures, recursively."""
+    """Round floats to ``digits`` significant figures, recursively; a
+    non-finite float becomes None, since JSON has no infinity."""
     if isinstance(value, float):
         if not math.isfinite(value):
-            return value
+            return None
         return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _quantize(v, digits) for k, v in value.items()}
@@ -88,49 +71,58 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-def _choice(options):
-    """Parser accepting exactly the values of a flag's ``choices``; argparse
-    does not check defaults, which config values become, against them."""
-    def parse(value: str) -> str:
-        if value not in options:
-            raise ValueError(value)
+def _ranged(parse, accepts, message: str):
+    """Flag ``type=`` function: ``parse`` the text, then reject a value that
+    ``accepts`` refuses with ``message``.  It keeps ``parse``'s name, which
+    argparse prints in "invalid int value: 'x'"."""
+    def check(text: str):
+        value = parse(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(message)
         return value
-    return parse
+    check.__name__ = parse.__name__
+    return check
 
 
-_CONFIG_PARSERS = {
-    "format": _choice(_FORMATS), "seed": int, "digits": int,
-    "state": _choice(states.KINDS),
-    "alices": int, "bobs": int, "p": float, "theta": float,
-    "xi": float, "lam": float, "epsilon1": float, "epsilon": float,
-    "paper_rounding": _parse_bool,
-    "table": _choice(_TABLES),
-}
+_digits = _ranged(int, lambda v: 2 <= v <= 12, "precision digits must lie in [2, 12]")
+_seed = _ranged(int, lambda v: v >= 0, "seed must be nonnegative")
+_sharpness = _ranged(float, lambda v: 0.0 < v <= 1.0, "sharpness must lie in (0, 1]")
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict:
+def _apply_config(parser: argparse.ArgumentParser, subparsers: argparse.Action, args):
+    """Set the subcommand's defaults from the ``--config`` file.  A key is an
+    option's dest, parsed as its flag (a store_true flag, nargs 0, as a bool);
+    other subcommands' keys are checked, then ignored."""
     try:
-        raw = _load_config(path)
+        raw = _load_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    defaults = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_PARSERS:
+    options = {a.dest: a for sub in subparsers.choices.values() for a in sub._actions
+               if a.dest not in ("help", "config")}
+    own = subparsers.choices[args.command]
+    for key, text in raw.items():
+        action = options.get(key)
+        if action is None:
             parser.error(f"unknown config key {key!r}")
+        parse = _parse_bool if action.nargs == 0 else action.type or str
         try:
-            defaults[key] = _CONFIG_PARSERS[key](value)
-        except ValueError:
-            parser.error(f"bad value for config key {key!r}: {value!r}")
-    return defaults
+            value = parse(text)
+            # argparse checks choices on flags, not on the defaults set here
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"bad value for config key {key!r}: {text!r}")
+        if any(a.dest == key for a in own._actions):
+            own.set_defaults(**{key: value})
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=_FORMATS, default="json",
                    help="output format (default json)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="accepted for reproducibility; currently unused, since no "
                         "command samples (default 0)")
-    p.add_argument("--digits", type=int, default=6,
+    p.add_argument("--digits", type=_digits, default=6,
                    help="significant digits in printed numbers (2..12, default 6)")
     p.add_argument("--config", default=None,
                    help="flat KEY=VALUE file providing flag defaults")
@@ -145,7 +137,7 @@ def _add_state_flags(p: argparse.ArgumentParser):
                    help="angle for the pure family, in (0, pi/4)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     parser = argparse.ArgumentParser(
         prog="seqwitness",
         description="Sequential entanglement witnessing and resource comparison")
@@ -177,13 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness-eval",
                            help="expectation of the modulated witness on a state")
     _add_state_flags(p_wit)
-    p_wit.add_argument("--xi", type=float, default=1.0,
+    p_wit.add_argument("--xi", type=_sharpness, default=1.0,
                        help="first-wing sharpness in (0, 1] (default 1)")
-    p_wit.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p_wit.add_argument("--lambda", dest="lam", type=_sharpness, default=1.0,
                        help="second-wing sharpness in (0, 1] (default 1)")
     _add_common(p_wit)
 
-    return parser
+    return parser, sub
 
 
 def _family_from_args(parser, args) -> states.StateFamily:
@@ -203,14 +195,6 @@ def _family_from_args(parser, args) -> states.StateFamily:
         parser.error(str(exc))
 
 
-def _run_config(parser, args) -> RunConfig:
-    try:
-        return RunConfig(output_format=args.format, seed=args.seed,
-                         precision_digits=args.digits)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -226,10 +210,9 @@ def _cmd_max_observers(parser, args) -> int:
                                           paper_rounding=args.paper_rounding)
     except ValueError as exc:
         parser.error(str(exc))
-    config = _run_config(parser, args)
     report = sequential.greedy_asymmetric(scenario.alices, family, policy,
                                           max_bobs=scenario.bobs)
-    d = config.precision_digits
+    d = args.digits
     payload = {
         "scenario": {"alices": scenario.alices, "bobs": scenario.bobs,
                      "state": family.kind, "parameter": family.param},
@@ -237,9 +220,9 @@ def _cmd_max_observers(parser, args) -> int:
         "schedule": [[xi, lam] for xi, lam in report.schedule.stages],
         "thresholds": list(report.thresholds),
     }
-    if config.output_format == "json":
-        _emit(json.dumps(_quantize(payload, d)))
-    elif config.output_format == "csv":
+    if args.format == "json":
+        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
+    elif args.format == "csv":
         lines = ["stage,xi,lambda,threshold,detected"]
         for i, t in enumerate(report.thresholds):
             if i < report.detected_stages:
@@ -263,35 +246,31 @@ def _cmd_max_observers(parser, args) -> int:
 
 def _row_dict(row: resource.ComparisonRow) -> dict:
     data = dataclasses.asdict(row)
-    if data.get("paper_rounded") is None:
-        data.pop("paper_rounded", None)
     return {k: v for k, v in data.items() if v is not None or k == "family"}
 
 
 def _table_payload(rows: list[resource.ComparisonRow]) -> dict:
     seq_row = next(r for r in rows if r.family == "sequential")
-    body = {
+    return {
         "sequential": {"detectability": seq_row.detectability,
                        "rom": seq_row.total_rom,
                        "eta_ebits": seq_row.eta_ebits},
         "non_sequential": {r.family: _row_dict(r) for r in rows
                            if r.family != "sequential"},
     }
-    return body
 
 
 def _cmd_compare(parser, args) -> int:
-    config = _run_config(parser, args)
     tab1, tab2 = resource.build_comparison_tables(paper_rounded=args.paper_rounding)
-    d = config.precision_digits
-    if config.output_format == "json":
+    d = args.digits
+    if args.format == "json":
         if args.table == "1":
             payload = {"table": 1, **_table_payload(tab1)}
         elif args.table == "2":
             payload = {"table": 2, **_table_payload(tab2)}
         else:
             payload = {"table1": _table_payload(tab1), "table2": _table_payload(tab2)}
-        _emit(json.dumps(_quantize(payload, d)))
+        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
         return EXIT_OK
 
     def csv_lines(rows):
@@ -316,7 +295,7 @@ def _cmd_compare(parser, args) -> int:
         return out
 
     lines = []
-    csv = config.output_format == "csv"
+    csv = args.format == "csv"
     if args.table in ("1", "both"):
         lines += csv_lines(tab1) if csv else text_lines(tab1, "table 1")
     if args.table in ("2", "both"):
@@ -335,16 +314,13 @@ def _witness_value(family: states.StateFamily, xi: float, lam: float) -> float:
 
 def _cmd_witness_eval(parser, args) -> int:
     family = _family_from_args(parser, args)
-    config = _run_config(parser, args)
-    if not (0.0 < args.xi <= 1.0 and 0.0 < args.lam <= 1.0):
-        parser.error("--xi and --lambda must lie in (0, 1]")
     value = _witness_value(family, args.xi, args.lam)
-    d = config.precision_digits
-    if config.output_format == "json":
+    d = args.digits
+    if args.format == "json":
         payload = {"state": family.kind, "parameter": family.param,
                    "xi": args.xi, "lambda": args.lam, "expectation": value}
-        _emit(json.dumps(_quantize(payload, d)))
-    elif config.output_format == "csv":
+        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
+    elif args.format == "csv":
         _emit("state,parameter,xi,lambda,expectation\n"
               f"{family.kind},{'' if family.param is None else _fmt(family.param, d)},"
               f"{_fmt(args.xi, d)},{_fmt(args.lam, d)},{_fmt(value, d)}")
@@ -354,13 +330,10 @@ def _cmd_witness_eval(parser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        defaults = _apply_config(parser, args.config)
-        sub = parser._subparsers._group_actions[0].choices[args.command]
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        _apply_config(parser, subparsers, args)
         args = parser.parse_args(argv)
     handlers = {
         "max-observers": _cmd_max_observers,

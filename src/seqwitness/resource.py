@@ -215,9 +215,7 @@ def entanglement_budget(family: states.StateFamily, copies: int) -> float:
 class NonSequentialSolution:
     """Internals of the equal-entanglement RoM minimization."""
 
-    kind: str
     param: float
-    strength: float
     per_pair_floor: float
     quadratic_constraint: float
     lambdas: tuple[float, float, float]
@@ -275,9 +273,9 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
         raise ValueError("detectability and budget constraints are jointly infeasible")
 
     best = _greedy_fill(constraint, floor, copies)
-    return NonSequentialSolution(kind=kind, param=param, strength=strength,
-                                 per_pair_floor=floor, quadratic_constraint=constraint,
-                                 lambdas=best, rom=2.0 * sum(best))
+    return NonSequentialSolution(param=param, per_pair_floor=floor,
+                                 quadratic_constraint=constraint, lambdas=best,
+                                 rom=2.0 * sum(best))
 
 
 def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,

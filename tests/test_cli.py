@@ -222,9 +222,28 @@ def test_digits_flag_controls_precision(capsys):
     _, out = run(capsys, "witness-eval", "--state", "bell", "--xi", "0.777",
                  "--lambda", "0.777", "--format", "text", "--digits", "3")
     assert len(out.strip()) <= 9
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["witness-eval", "--state", "bell", "--digits", "99"])
-    assert exc.value.code == 2
+    for digits in ("2", "12"):
+        code, out = run(capsys, "witness-eval", "--xi", "0.777", "--digits", digits)
+        assert code == 0 and json.loads(out)["xi"] == float(f"{0.777:.{digits}g}")
+    for digits in ("1", "13", "99"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness-eval", "--state", "bell", "--digits", digits])
+        assert exc.value.code == 2
+        assert "argument --digits: precision digits must lie in [2, 12]" in capsys.readouterr().err
+
+
+def test_json_output_is_strict(capsys):
+    # no sharpness detects a colored state at p = 0.2, so its threshold is
+    # infinite: null in json, inf in csv and text
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    argv = ["max-observers", "--state", "colored", "--p", "0.2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["thresholds"] == [None]
+    assert run(capsys, *argv, "--format", "csv")[1].endswith(",inf,false\n")
+    assert "threshold inf" in run(capsys, *argv, "--format", "text")[1]
 
 
 def test_identical_flags_identical_output(capsys):
@@ -244,10 +263,11 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture", "table=9",
-                                  "state=foo", "format=xml"])
+                                  "state=foo", "format=xml", "digits=99", "seed=-1",
+                                  "xi=0", "config=x"])
 def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
-    # choice-valued keys are checked against the flag's choices, so a bad
-    # value is a usage error for every subcommand, not a silent default
+    # each key is parsed as its flag would be, so a bad value is a usage
+    # error for every subcommand, not a silent default
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     for command in ("max-observers", "compare"):
@@ -256,6 +276,39 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
         assert exc.value.code == 2
         key = line.partition("=")[0]
         assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def stdout_or_exit(capsys, *argv):
+    try:
+        return run(capsys, *argv)[1]
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("key,argv,value,flag", [
+    ("format", ["compare", "--table", "1"], "csv", ["--format", "csv"]),
+    ("seed", ["max-observers"], "7", ["--seed", "7"]),
+    ("digits", ["witness-eval", "--xi", "0.777"], "3", ["--digits", "3"]),
+    ("state", ["witness-eval", "--theta", "0.3"], "pure", ["--state", "pure"]),
+    ("p", ["witness-eval", "--state", "werner"], "0.7", ["--p", "0.7"]),
+    ("theta", ["witness-eval", "--state", "pure"], "0.4", ["--theta", "0.4"]),
+    ("alices", ["max-observers"], "2", ["--alices", "2"]),
+    ("bobs", ["max-observers"], "3", ["--bobs", "3"]),
+    ("epsilon1", ["max-observers", "--state", "werner", "--p", "0.9"], "0.05",
+     ["--epsilon1", "0.05"]),
+    ("epsilon", ["max-observers", "--alices", "2"], "0.02", ["--epsilon", "0.02"]),
+    ("paper_rounding", ["compare", "--table", "2"], "yes", ["--paper-rounding"]),
+    ("table", ["compare"], "1", ["--table", "1"]),
+    ("xi", ["witness-eval"], "0.8", ["--xi", "0.8"]),
+    ("lam", ["witness-eval"], "0.6", ["--lambda", "0.6"]),
+])
+def test_config_key_matches_flag(tmp_path, capsys, key, argv, value, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    from_config = stdout_or_exit(capsys, *argv, "--config", str(cfg))
+    assert from_config == stdout_or_exit(capsys, *argv, *flag)
+    if key != "seed":  # no command reads the seed
+        assert from_config != stdout_or_exit(capsys, *argv)
 
 
 @pytest.mark.parametrize("value,flag", [("off", False), ("No", False), ("ON", True), ("1", True)])
