@@ -280,13 +280,31 @@ def run_symmetric_schedule(family: states.StateFamily,
                        thresholds=tuple(thresholds), states=tuple(incoming))
 
 
+def _symmetric_edge_before(h: float) -> float:
+    """Correlation strength g that one zero-slack symmetric stage maps to h.
+
+    The stage measures at xi = lam = 1/sqrt(g) and leaves
+    g s(1/sqrt(g))^2 = ((sqrt(g) + 2 sqrt(g - 1)) / 3)^2, which rises with
+    g; solving for g gives sqrt(g) = -sqrt(h) + 2 sqrt(h + 1/3).
+    """
+    root = -math.sqrt(h) + 2.0 * math.sqrt(h + 1.0 / 3.0)
+    return root * root
+
+
 def classify_pair_count(family: states.StateFamily) -> int:
     """Number of symmetric pairs that can detect entanglement (0 to 3).
 
-    A possibility statement, so the chain runs in the zero-slack limit where
-    every stage saturates its threshold exactly.
+    A possibility statement, so it counts the zero-slack chain, where every
+    stage saturates its threshold 1/g exactly.  A stage detects while g > 1
+    and the stage map rises with g, so the count is the number of band
+    edges E_1 = 1 < E_2 < ... below g, where one stage maps E_{k+1} onto
+    E_k: 1, 1.714531, 2.410788, then 3.099032 > 3 (bell's g).
     """
     if family.kind not in (states.WERNER, states.PURE):
         raise ValueError("pair-count classification applies to werner and pure families")
-    report = greedy_symmetric(family, EpsilonPolicy(0.0, 0.0, paper_rounding=False))
-    return report.detected_stages
+    g = states.correlation_strength(family)
+    count, edge = 0, 1.0
+    while g > edge:
+        count += 1
+        edge = _symmetric_edge_before(edge)
+    return count

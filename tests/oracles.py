@@ -278,6 +278,38 @@ def matrix_correlation_strength(family):
     return 1.0 - 4.0 * witness.expectation(w, states.build(family))
 
 
+def zero_slack_pair_count(family):
+    """Symmetric pair count on the matrix route: the greedy chain over built
+    states with every stage saturating its threshold exactly."""
+    from seqwitness import sequential
+
+    report = sequential.greedy_symmetric(family, sequential.EpsilonPolicy(0.0, 0.0))
+    return report.detected_stages
+
+
+def symmetric_edges_mp(count):
+    """The first ``count`` zero-slack symmetric band edges in mpmath at the
+    caller's working precision: E_1 = 1 and
+    E_{k+1} = (-sqrt(E_k) + 2 sqrt(E_k + 1/3))^2."""
+    import mpmath
+
+    edges = [mpmath.mpf(1)]
+    while len(edges) < count:
+        h = edges[-1]
+        edges.append((-mpmath.sqrt(h) + 2 * mpmath.sqrt(h + mpmath.mpf(1) / 3)) ** 2)
+    return edges
+
+
+def zero_slack_stage_mp(g):
+    """g s(lam)^2 at lam = 1/sqrt(g), s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, in
+    mpmath at the caller's working precision: the correlation strength one
+    zero-slack symmetric stage leaves."""
+    import mpmath
+
+    lam = 1 / mpmath.sqrt(g)
+    return g * ((1 + 2 * mpmath.sqrt(1 - lam * lam)) / 3) ** 2
+
+
 def boundary_pattern_lambdas(constraint, floor, copies, max_free=None):
     """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1
     over every boundary pattern: n_cap lambdas at the cap, n_floor at the

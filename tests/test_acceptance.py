@@ -129,6 +129,12 @@ def _bisect_edge(count_fn, lo, hi, tol=1e-4):
     return (lo + hi) / 2
 
 
+# Criterion 8's bisection brackets for the 3|2, 2|1 and 1|0 edges in werner p,
+# and the 3|2 and 2|1 edges in pure theta.
+WERNER_EDGE_BRACKETS = ((0.75, 0.88), (0.50, 0.65), (0.30, 0.40))
+PURE_EDGE_BRACKETS = ((0.30, math.pi / 4 - 1e-6), (0.12, 0.30))
+
+
 def test_criterion_8_classification_bands():
     def werner_count(p):
         return sequential.classify_pair_count(states.StateFamily.werner(p))
@@ -142,11 +148,12 @@ def test_criterion_8_classification_bands():
                   and pure_count(math.pi / 12) == 2
                   and pure_count(math.pi / 20) == 1)
 
-    edge_32 = _bisect_edge(werner_count, 0.75, 0.88)
-    edge_21 = _bisect_edge(werner_count, 0.50, 0.65)
-    edge_10 = _bisect_edge(lambda p: werner_count(p) if p > 0 else 0, 0.30, 0.40)
-    pure_32 = _bisect_edge(pure_count, 0.30, math.pi / 4 - 1e-6)
-    pure_21 = _bisect_edge(pure_count, 0.12, 0.30)
+    w32, w21, w10 = WERNER_EDGE_BRACKETS
+    edge_32 = _bisect_edge(werner_count, *w32)
+    edge_21 = _bisect_edge(werner_count, *w21)
+    edge_10 = _bisect_edge(lambda p: werner_count(p) if p > 0 else 0, *w10)
+    pure_32 = _bisect_edge(pure_count, *PURE_EDGE_BRACKETS[0])
+    pure_21 = _bisect_edge(pure_count, *PURE_EDGE_BRACKETS[1])
 
     edges_ok = (abs(edge_32 - 0.80) <= 0.01 and abs(edge_21 - 0.57) <= 0.01
                 and abs(edge_10 - 0.33) <= 0.01
@@ -155,6 +162,18 @@ def test_criterion_8_classification_bands():
     _report(8, "classification bands 3/2/1 with edges "
                f"{edge_32:.4f}/{edge_21:.4f}/{edge_10:.4f} and "
                f"{pure_32:.4f}/{pure_21:.4f} rad", samples_ok and edges_ok)
+
+
+def test_band_edges_lie_in_criterion_8_brackets():
+    edges = [1.0]  # E_1..E_3 in g: the 1|0, 2|1 and 3|2 edges
+    for _ in range(2):
+        edges.append(sequential._symmetric_edge_before(edges[-1]))
+    werner = [states.param_for_strength(states.WERNER, g) for g in reversed(edges)]
+    pure = [states.param_for_strength(states.PURE, g) for g in reversed(edges[1:])]
+    assert [round(p, 6) for p in werner] == [0.803596, 0.571510, 0.333333]
+    assert [round(theta, 6) for theta in pure] == [0.391489, 0.182669]
+    for value, (lo, hi) in zip(werner + pure, WERNER_EDGE_BRACKETS + PURE_EDGE_BRACKETS):
+        assert lo < value < hi
 
 
 def test_criterion_9_property_suites():

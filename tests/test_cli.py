@@ -339,8 +339,9 @@ def test_witness_eval_closed_form_matches_matrix_route():
 
 
 def test_compare_and_witness_eval_load_no_numpy():
-    # a fresh interpreter: the package, compare and witness-eval stay numpy-free;
-    # the star import and the matrix chain of max-observers still work after
+    # a fresh interpreter: the package, compare, witness-eval and the pair count
+    # stay numpy-free; the star import and the matrix chain of max-observers
+    # still work after
     script = """
 import contextlib, io, sys
 import seqwitness
@@ -352,6 +353,7 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0, argv
     assert out.getvalue().strip(), argv
+assert seqwitness.sequential.classify_pair_count(seqwitness.StateFamily.werner(0.7)) == 2
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 assert not loaded, loaded[:5]
 namespace = {}

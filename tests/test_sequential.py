@@ -244,6 +244,50 @@ def test_classify_pair_counts():
     assert seq.classify_pair_count(states.StateFamily.pure(math.pi / 20)) == 1
 
 
+def _float_edges(count):
+    edges = [1.0]
+    while len(edges) < count:
+        edges.append(seq._symmetric_edge_before(edges[-1]))
+    return edges
+
+
+def test_pair_count_matches_zero_slack_matrix_chain():
+    # a mismatch is forgiven only within 1e-12 relative of a band edge;
+    # draws at 1e-11 on either side of each edge must agree too
+    edges = _float_edges(4)
+    rng = np.random.default_rng(1313)
+    families = [states.StateFamily.werner(float(p)) for p in 1.0 - rng.uniform(0.0, 0.7, 1500)]
+    families += [states.StateFamily.pure(float(t)) for t in rng.uniform(0.01, math.pi / 4, 1500)]
+    for edge in edges[:3]:
+        for g in (edge * (1.0 - 1e-11), edge * (1.0 + 1e-11)):
+            families.append(states.StateFamily.werner(g / 3.0))
+            if g > 1.0:
+                families.append(states.StateFamily.pure(states.param_for_strength(states.PURE, g)))
+    mismatches = []
+    counts = set()
+    for family in families:
+        count = seq.classify_pair_count(family)
+        counts.add(count)
+        g = states.correlation_strength(family)
+        if (count != oracles.zero_slack_pair_count(family)
+                and all(abs(g - e) > 1e-12 * e for e in edges)):
+            mismatches.append((family, count))
+    assert mismatches == []
+    assert counts == {0, 1, 2, 3}
+
+
+def test_symmetric_edges_match_50_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = oracles.symmetric_edges_mp(4)
+        for before, after in zip(exact, exact[1:]):
+            assert abs(oracles.zero_slack_stage_mp(after) - before) < mpmath.mpf(10) ** -45
+        assert exact[3] > 3
+        for edge, reference in zip(_float_edges(4), exact):
+            assert abs(mpmath.mpf(edge) - reference) <= 4 * math.ulp(float(reference))
+    assert [round(e, 6) for e in _float_edges(4)] == [1.0, 1.714531, 2.410788, 3.099032]
+
+
 def test_classify_rejects_other_families():
     with pytest.raises(ValueError):
         seq.classify_pair_count(states.StateFamily.bell())
