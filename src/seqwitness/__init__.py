@@ -23,7 +23,6 @@ _EXPORTS = {
     "DensityMatrix": "qcore",
     "EpsilonPolicy": "sequential",
     "PointerTradeoff": "measurement",
-    "ScenarioKind": "sequential",
     "SharpnessSchedule": "sequential",
     "StateFamily": "states",
     "UnsharpObservable": "measurement",

@@ -87,6 +87,8 @@ def _ranged(parse, accepts, message: str):
 _digits = _ranged(int, lambda v: 2 <= v <= 12, "precision digits must lie in [2, 12]")
 _seed = _ranged(int, lambda v: v >= 0, "seed must be nonnegative")
 _sharpness = _ranged(float, lambda v: 0.0 < v <= 1.0, "sharpness must lie in (0, 1]")
+_observers = _ranged(int, lambda v: v >= 1, "need at least one observer per wing")
+_slack = _ranged(float, lambda v: 0.0 <= v < 0.1, "stage slack must lie in [0, 0.1)")
 
 
 def _apply_config(parser: argparse.ArgumentParser, subparsers: argparse.Action, args):
@@ -145,14 +147,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     p_max = sub.add_parser("max-observers",
                            help="count how many observer pairs can detect entanglement")
-    p_max.add_argument("--alices", type=int, default=1,
+    p_max.add_argument("--alices", type=_observers, default=1,
                        help="observers on the first wing (default 1)")
-    p_max.add_argument("--bobs", type=int, default=20,
+    p_max.add_argument("--bobs", type=_observers, default=20,
                        help="observers available on the second wing (default 20)")
     _add_state_flags(p_max)
-    p_max.add_argument("--epsilon1", type=float, default=1e-2,
+    p_max.add_argument("--epsilon1", type=_slack, default=1e-2,
                        help="slack above the first-stage threshold (default 0.01)")
-    p_max.add_argument("--epsilon", type=float, default=0.0,
+    p_max.add_argument("--epsilon", type=_slack, default=0.0,
                        help="slack above later-stage thresholds (default 0)")
     p_max.add_argument("--paper-rounding", dest="paper_rounding", action="store_true",
                        help="snap stage sharpness onto the 0.01 grid")
@@ -195,33 +197,22 @@ def _family_from_args(parser, args) -> states.StateFamily:
         parser.error(str(exc))
 
 
-def _emit(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _cmd_max_observers(parser, args) -> int:
     family = _family_from_args(parser, args)
-    try:
-        scenario = sequential.ScenarioKind(args.alices, args.bobs, family)
-        policy = sequential.EpsilonPolicy(first_stage_slack=args.epsilon1,
-                                          later_stage_slack=args.epsilon,
-                                          paper_rounding=args.paper_rounding)
-    except ValueError as exc:
-        parser.error(str(exc))
-    report = sequential.greedy_asymmetric(scenario.alices, family, policy,
-                                          max_bobs=scenario.bobs)
+    policy = sequential.EpsilonPolicy(first_stage_slack=args.epsilon1,
+                                      later_stage_slack=args.epsilon,
+                                      paper_rounding=args.paper_rounding)
+    report = sequential.greedy_asymmetric(args.alices, family, policy, max_bobs=args.bobs)
     d = args.digits
     payload = {
-        "scenario": {"alices": scenario.alices, "bobs": scenario.bobs,
+        "scenario": {"alices": args.alices, "bobs": args.bobs,
                      "state": family.kind, "parameter": family.param},
         "bobs_detected": report.detected_stages,
         "schedule": [[xi, lam] for xi, lam in report.schedule.stages],
         "thresholds": list(report.thresholds),
     }
     if args.format == "json":
-        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
+        print(json.dumps(_quantize(payload, d), allow_nan=False))
     elif args.format == "csv":
         lines = ["stage,xi,lambda,threshold,detected"]
         for i, t in enumerate(report.thresholds):
@@ -230,7 +221,7 @@ def _cmd_max_observers(parser, args) -> int:
                 lines.append(f"{i + 1},{_fmt(xi, d)},{_fmt(lam, d)},{_fmt(t, d)},true")
             else:
                 lines.append(f"{i + 1},,,{_fmt(t, d)},false")
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     else:
         lines = [f"bobs_detected: {report.detected_stages}"]
         for i, t in enumerate(report.thresholds):
@@ -240,7 +231,7 @@ def _cmd_max_observers(parser, args) -> int:
                              f"xi {_fmt(xi, d)} lambda {_fmt(lam, d)}")
             else:
                 lines.append(f"stage {i + 1}: threshold {_fmt(t, d)} (not detectable)")
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -270,7 +261,7 @@ def _cmd_compare(parser, args) -> int:
             payload = {"table": 2, **_table_payload(tab2)}
         else:
             payload = {"table1": _table_payload(tab1), "table2": _table_payload(tab2)}
-        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
+        print(json.dumps(_quantize(payload, d), allow_nan=False))
         return EXIT_OK
 
     def csv_lines(rows):
@@ -302,7 +293,7 @@ def _cmd_compare(parser, args) -> int:
         if csv and args.table == "both":
             lines.append("")
         lines += csv_lines(tab2) if csv else text_lines(tab2, "table 2")
-    _emit("\n".join(lines))
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -319,13 +310,13 @@ def _cmd_witness_eval(parser, args) -> int:
     if args.format == "json":
         payload = {"state": family.kind, "parameter": family.param,
                    "xi": args.xi, "lambda": args.lam, "expectation": value}
-        _emit(json.dumps(_quantize(payload, d), allow_nan=False))
+        print(json.dumps(_quantize(payload, d), allow_nan=False))
     elif args.format == "csv":
-        _emit("state,parameter,xi,lambda,expectation\n"
+        print("state,parameter,xi,lambda,expectation\n"
               f"{family.kind},{'' if family.param is None else _fmt(family.param, d)},"
               f"{_fmt(args.xi, d)},{_fmt(args.lam, d)},{_fmt(value, d)}")
     else:
-        _emit(_fmt(value, d))
+        print(_fmt(value, d))
     return EXIT_OK
 
 

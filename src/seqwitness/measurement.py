@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, VALIDATE_TOL, expectation, operator_norm, pauli
+from .qcore import DensityMatrix, VALIDATE_TOL, as_matrix, expectation, operator_norm, pauli
 
 # Outcome probabilities below this are treated as impossible branches
 # rather than round-off.
@@ -101,8 +101,7 @@ def luders_update(obs: UnsharpObservable, outcome: int, rho) -> DensityMatrix:
         raise ValueError(f"outcome probability {prob:.3g} is below the floor; "
                          "impossible measurement branch")
     root = sqrt_effect(obs, outcome)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return DensityMatrix(root @ m @ root / prob)
+    return DensityMatrix(root @ as_matrix(rho) @ root / prob)
 
 
 def rom(obs: UnsharpObservable) -> float:

@@ -63,7 +63,7 @@ def is_hermitian(m: np.ndarray, tol: float = VALIDATE_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def _as_matrix(rho) -> np.ndarray:
+def as_matrix(rho) -> np.ndarray:
     """Accept either a DensityMatrix or a raw array."""
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
@@ -77,7 +77,7 @@ def expectation(obs: np.ndarray, rho) -> float:
     obs = np.asarray(obs, dtype=complex)
     if not is_hermitian(obs):
         raise ValueError("expectation requires a Hermitian observable")
-    value = complex(np.trace(obs @ _as_matrix(rho)))
+    value = complex(np.trace(obs @ as_matrix(rho)))
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation value has imaginary part {value.imag:g}")
     return value.real
@@ -85,7 +85,7 @@ def expectation(obs: np.ndarray, rho) -> float:
 
 def partial_transpose_b(rho) -> np.ndarray:
     """Transpose the second-qubit indices of a 4x4 operator."""
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError("partial_transpose_b expects a 4x4 matrix")
     # indices (i, a; j, b) -> (i, b; j, a)
@@ -144,10 +144,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def concurrence_wootters(rho) -> float:
     """Wootters concurrence of a two-qubit state.
@@ -158,7 +154,7 @@ def concurrence_wootters(rho) -> float:
     each root linear in round-off; square-rooting near-zero eigenvalues of
     the Hermitian sandwich directly would amplify noise to ~1e-8.
     """
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states")
     yy = tensor(_SY, _SY)

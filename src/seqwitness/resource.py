@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import states
-from .sequential import ChainReport, SharpnessSchedule, average_shrink
+from .sequential import ChainReport, SharpnessSchedule, _symmetric_edge_before, average_shrink
 
 # The colored-noise budget match is carried at two-decimal precision in the
 # state parameter, which puts the derived quadratic constant at 2.26 rather
@@ -21,7 +21,7 @@ from .sequential import ChainReport, SharpnessSchedule, average_shrink
 _COLORED_PARAM_DECIMALS = 2
 
 # The detectability optimum keeps every stage's witness value at or below
-# -_BOUNDARY_MARGIN.
+# -_BOUNDARY_MARGIN, to within round-off.
 _BOUNDARY_MARGIN = 1e-12
 
 
@@ -106,20 +106,22 @@ def maximize_detectability(family: states.StateFamily,
       u = (9K / (1 + 2 sqrt(1 - cap2^2)) - 1) / 2.
 
     Stage 1 bounds u above by sqrt(1 - n) (lam1 >= sqrt(n)); cap1 bounds it
-    below by sqrt(1 - cap1^2); stage 2 bounds it below on each piece, at
-    u = (3 sqrt(n) / cap2 - 1) / 2 on A and at s1 = 1/x+ on B, x+ the
-    positive root of (9K^2 + 4n) x^2 - 6K x - 3 = 0.  On both pieces
-    s1^2 lam2^2 rises with u, so the stage-2 edge is the larger bound.  On
+    below by sqrt(1 - cap1^2).  The stage-2 edge is the backward stage map
+    E = ``sequential._symmetric_edge_before`` with the caps: stages 2 and 3
+    both detect iff g2 = g s1^2 >= edge2 = need max(1/cap2^2, E(1/cap3^2)),
+    since lam2 <= cap2 and stage 3 does best after the least lam2, at which
+    stage 2's witness is -margin.  So u >= (3 sqrt(edge2 / g) - 1) / 2.  On
     the feasible interval the maximum of F is at an end, a vertex or the
     breakpoint; each is scored with ``stage_two``, at most 12 calls.  Float
     rounding can put the computed edge a few ulps outside the feasible
     set, so it steps inward until ``stage_two`` accepts it.
 
     The supremum lies where a stage's witness reaches 0 (for bell, stage
-    3's), so each stage is held at or below -_BOUNDARY_MARGIN: every
-    returned stage detects, and the total is within O(_BOUNDARY_MARGIN) of
-    the supremum.  ``tests/oracles.py::golden_section_detectability`` keeps
-    a scan and golden-section search over lam1 as the independent check.
+    3's), so each stage is held at or below -_BOUNDARY_MARGIN, to within
+    round-off: every returned stage detects, and the total is within
+    O(_BOUNDARY_MARGIN) of the supremum.
+    ``tests/oracles.py::golden_section_detectability`` keeps a scan and
+    golden-section search over lam1 as the independent check.
     """
     if not all(0.0 < cap <= 1.0 for cap in stage_caps):
         raise ValueError("stage caps must lie in (0, 1]")
@@ -152,12 +154,10 @@ def maximize_detectability(family: states.StateFamily,
         u = min(1.0, max(0.0, u))
         return math.sqrt((1.0 - u) * (1.0 + u))
 
-    n = need / g
-    k = math.sqrt(n) / cap3
-    q = 9.0 * k * k + 4.0 * n
-    edge_a = (3.0 * math.sqrt(n) / cap2 - 1.0) / 2.0
-    edge_b = (3.0 * q / (3.0 * k + math.sqrt(9.0 * k * k + 3.0 * q)) - 1.0) / 2.0
-    top = max(lo, min(cap1, lam_of(max(edge_a, edge_b))))
+    k = math.sqrt(need / g) / cap3
+    # stages 2 and 3 both detect iff g s1^2 >= edge2 (see the docstring)
+    edge2 = need * max(1.0 / (cap2 * cap2), _symmetric_edge_before(1.0 / (cap3 * cap3)))
+    top = max(lo, min(cap1, lam_of((3.0 * math.sqrt(edge2 / g) - 1.0) / 2.0)))
     for ulps in (0, 1, 3, 7, 15, 31, 63, 127):
         edge = max(lo, top - ulps * math.ulp(top))
         scored[edge] = stage_two(edge)

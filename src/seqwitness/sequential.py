@@ -43,7 +43,7 @@ def _shrink_wing(rho, s: float, wing: int) -> np.ndarray:
 
     from . import qcore
 
-    m = rho.matrix if isinstance(rho, qcore.DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = qcore.as_matrix(rho)
     t = m.reshape(2, 2, 2, 2)  # indices (a, b; a', b')
     half = np.eye(2, dtype=complex) / 2.0
     if wing == 0:
@@ -143,19 +143,6 @@ class SharpnessSchedule:
 
 
 @dataclass(frozen=True)
-class ScenarioKind:
-    """How many sequential observers sit on each wing, and the input state."""
-
-    alices: int
-    bobs: int
-    family: states.StateFamily
-
-    def __post_init__(self):
-        if self.alices < 1 or self.bobs < 1:
-            raise ValueError("need at least one observer per wing")
-
-
-@dataclass(frozen=True)
 class ChainReport:
     """Outcome of a greedy chain run.
 
@@ -247,8 +234,8 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
 
     The first ``alices - 1`` stages are symmetric two-sided stages; after
     that the last observer on the first wing measures projectively and each
-    further Bob adds a one-sided stage.  Returns the total count of
-    detecting Bobs.
+    further Bob adds a one-sided stage.  The returned report's
+    ``detected_stages`` is the total count of detecting Bobs.
     """
     if alices < 1:
         raise ValueError("need at least one observer on the first wing")

@@ -60,6 +60,12 @@ def test_max_observers_invalid_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["max-observers", "--state", "werner"])  # missing --p
     assert exc.value.code == 2
+    for flag, value, message in (("--bobs", "0", "need at least one observer per wing"),
+                                 ("--epsilon1", "0.1", "stage slack must lie in [0, 0.1)")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["max-observers", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_max_observers_csv_and_text(capsys):
@@ -264,7 +270,8 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture", "table=9",
                                   "state=foo", "format=xml", "digits=99", "seed=-1",
-                                  "xi=0", "config=x"])
+                                  "xi=0", "config=x", "alices=0", "bobs=0",
+                                  "epsilon1=0.5", "epsilon=-0.01"])
 def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
     # each key is parsed as its flag would be, so a bad value is a usage
     # error for every subcommand, not a silent default

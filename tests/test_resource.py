@@ -201,6 +201,33 @@ def test_maximize_detectability_capped_stage_three():
     assert capped.schedule.stages[2][1] <= 0.9 + 1e-12
 
 
+EDGE_CAPS = [(1.0, 1.0, 1.0), (1.0, 0.8, 1.0), (1.0, 1.0, 0.9), (0.9, 1.0, 0.95),
+             (0.62, 1.0, 1.0), (1.0, 0.75, 0.8)]
+
+
+def three_stage_edge(caps):
+    """Least g at which all three capped stages detect with margin: the
+    backward stage map applied twice, each stage also held under its cap."""
+    back = sequential._symmetric_edge_before
+    cap1, cap2, cap3 = caps
+    need = 1.0 + 4.0 * resource._BOUNDARY_MARGIN
+    edge2 = max(1.0 / cap2**2, back(1.0 / cap3**2))
+    return need * max(1.0 / cap1**2, back(edge2))
+
+
+@pytest.mark.parametrize("caps", EDGE_CAPS)
+def test_maximize_detectability_switches_on_at_the_three_stage_edge(caps):
+    edge = three_stage_edge(caps)
+    assert 2.410788 <= round(edge, 6) <= 2.950945
+    with pytest.raises(ValueError):
+        resource.maximize_detectability(states.StateFamily.werner(edge * (1 - 1e-9) / 3), caps)
+    report = resource.maximize_detectability(states.StateFamily.werner(edge * (1 + 1e-9) / 3),
+                                             caps)
+    assert all(d < 0.0 for d in report.per_stage)
+    assert all(d <= -resource._BOUNDARY_MARGIN + 1e-15 for d in report.per_stage)
+    assert all(lam <= cap for (_, lam), cap in zip(report.schedule.stages, caps))
+
+
 def test_maximize_detectability_rejects_weak_family():
     with pytest.raises(ValueError):
         resource.maximize_detectability(states.StateFamily.werner(0.5))

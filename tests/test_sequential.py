@@ -295,13 +295,6 @@ def test_classify_rejects_other_families():
         seq.classify_pair_count(states.StateFamily.colored(0.9))
 
 
-def test_scenario_kind_validation():
-    with pytest.raises(ValueError):
-        seq.ScenarioKind(0, 5, BELL)
-    kind = seq.ScenarioKind(2, 20, BELL)
-    assert kind.alices == 2
-
-
 def test_run_symmetric_schedule_records_states():
     report = seq.run_symmetric_schedule(BELL, (0.73, 0.80, 1.0))
     assert report.detected_stages == 3
