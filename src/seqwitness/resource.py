@@ -145,7 +145,7 @@ def maximize_detectability(family: states.StateFamily,
     # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
     # room, so the feasible lam1 form an interval [lo, edge].
     lo = math.sqrt(need / g) if g >= need else math.inf
-    scored = {lo: stage_two(lo)}
+    scored = {lo: stage_two(lo) if lo <= cap1 else (-math.inf, None)}
     if lo > cap1 or scored[lo][1] is None:
         raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
                          "with every stage detecting")

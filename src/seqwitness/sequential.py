@@ -102,10 +102,11 @@ def violation_threshold(w: WitnessOperator, rho) -> float:
 class EpsilonPolicy:
     """Slack added above each stage threshold, plus the rounding mode.
 
-    In paper-rounding mode every stage constraint is snapped up to the next
-    point of the 0.01 grid and the chosen sharpness is kept on that grid;
-    the grid step then plays the role of the slack and the two slack fields
-    are ignored.
+    ``sharpness()`` is the one place where a greedy stage's sharpness is
+    chosen.  In paper-rounding mode every stage constraint is snapped up to
+    the next point of the 0.01 grid and the chosen sharpness is kept on that
+    grid; the grid step then plays the role of the slack and the two slack
+    fields are ignored.
     """
 
     first_stage_slack: float = 1e-2
@@ -123,13 +124,23 @@ class EpsilonPolicy:
         return cls(first_stage_slack=1e-2, later_stage_slack=0.0,
                    paper_rounding=paper_rounding)
 
-    def slack_for_stage(self, stage: int) -> float:
-        return self.first_stage_slack if stage == 1 else self.later_stage_slack
+    def sharpness(self, threshold: float, stage: int, two_sided: bool) -> float | None:
+        """Sharpness of a stage with violation ``threshold``: the product
+        just above the threshold (slack or grid step, capped at 1), taken as
+        xi = lam = its square root on a two-sided stage.  None when the
+        threshold reaches 1, since then no stage up to sharpness 1 detects."""
+        if not threshold < 1.0:
+            return None
+        if self.paper_rounding:
+            return _grid_ceil_sqrt(threshold) if two_sided else _grid_ceil(threshold)
+        slack = self.first_stage_slack if stage == 1 else self.later_stage_slack
+        value = min(threshold + slack, 1.0)
+        return math.sqrt(value) if two_sided else value
 
 
 @dataclass(frozen=True)
 class SharpnessSchedule:
-    """Ordered per-stage (xi, lam) values of the detecting stages."""
+    """Ordered per-stage (xi, lam) values of the recorded stages."""
 
     stages: tuple[tuple[float, float], ...]
 
@@ -138,19 +149,17 @@ class SharpnessSchedule:
             if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
                 raise ValueError("schedule entries must lie in (0, 1]")
 
-    def __len__(self) -> int:
-        return len(self.stages)
-
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of a greedy chain run.
+    """Outcome of a chain run.
 
-    ``thresholds`` holds the raw violation threshold seen by every stage
-    that was examined; when the chain ended because a stage was infeasible
-    the list is one longer than the number of detecting stages and its last
-    entry exceeds 1.  ``states`` holds the averaged state entering each
-    detecting stage.
+    ``thresholds`` holds the raw violation threshold of every stage examined:
+    one per stage, plus a last one of at least 1 when a greedy chain ends at
+    an infeasible stage (none when it ends at its stage cap, nor for a fixed
+    schedule).  ``states`` holds the averaged state entering each recorded
+    stage: every detecting stage of a greedy chain, and every scheduled stage
+    of ``run_symmetric_schedule``, whether or not it detects.
     """
 
     family: states.StateFamily
@@ -174,22 +183,16 @@ def _grid_ceil_sqrt(x: float) -> float:
     return k / 100.0
 
 
-def _stage_sharpness(threshold: float, stage: int, policy: EpsilonPolicy,
-                     two_sided: bool) -> float:
-    if policy.paper_rounding:
-        return _grid_ceil_sqrt(threshold) if two_sided else _grid_ceil(threshold)
-    value = min(threshold + policy.slack_for_stage(stage), 1.0)
-    return math.sqrt(value) if two_sided else value
-
-
-def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
-                two_sided_stages: int | None, max_stages: int | None) -> ChainReport:
-    """Shared greedy loop.
+def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
+               max_stages: int | None, sharpness) -> ChainReport:
+    """The stage loop behind every chain.
 
     ``two_sided_stages`` limits how many leading stages measure on both
     wings; ``None`` means every stage does (the symmetric scenario).  Once
     the limit is reached the remaining wing-one observer is projective and
-    stages modulate the witness on the second wing only.
+    stages modulate the witness on the second wing only.  Each stage
+    records its violation threshold and then takes the sharpness
+    ``sharpness(threshold, stage, two_sided)``; ``None`` ends the chain.
     """
     from . import witness
 
@@ -198,19 +201,17 @@ def _run_greedy(family: states.StateFamily, policy: EpsilonPolicy,
     stages: list[tuple[float, float]] = []
     thresholds: list[float] = []
     incoming: list[DensityMatrix] = []
-
     while max_stages is None or len(stages) < max_stages:
         stage = len(stages) + 1
         two_sided = two_sided_stages is None or stage <= two_sided_stages
         t = violation_threshold(w, rho)
         thresholds.append(t)
-        if not t < 1.0:
+        s = sharpness(t, stage, two_sided)
+        if s is None:
             break
-        s = _stage_sharpness(t, stage, policy, two_sided)
         stages.append((s if two_sided else 1.0, s))
         incoming.append(rho)
         rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
-
     return ChainReport(family=family, detected_stages=len(stages),
                        schedule=SharpnessSchedule(tuple(stages)),
                        thresholds=tuple(thresholds), states=tuple(incoming))
@@ -224,7 +225,7 @@ def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = 
     disturbing the state as little as the detection constraint allows, and
     the chain stops at the first stage whose threshold reaches 1.
     """
-    return _run_greedy(family, policy or EpsilonPolicy(), None, max_stages)
+    return _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
 
 
 def greedy_asymmetric(alices: int, family: states.StateFamily,
@@ -239,8 +240,8 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
     """
     if alices < 1:
         raise ValueError("need at least one observer on the first wing")
-    return _run_greedy(family, policy or EpsilonPolicy.asymmetric_default(),
-                       alices - 1, max_bobs)
+    policy = policy or EpsilonPolicy.asymmetric_default()
+    return _run_chain(family, alices - 1, max_bobs, policy.sharpness)
 
 
 def run_symmetric_schedule(family: states.StateFamily,
@@ -248,23 +249,10 @@ def run_symmetric_schedule(family: states.StateFamily,
     """Evolve the symmetric chain at a fixed per-stage sharpness schedule.
 
     No feasibility decision is taken; thresholds and incoming states are
-    recorded so the caller can evaluate stage-wise witness expectations.
+    recorded for every stage, including those whose threshold reaches 1, so
+    the caller can evaluate stage-wise witness expectations.
     """
-    from . import witness
-
-    w = witness.family_witness(family.kind)
-    rho = states.build(family)
-    stages = []
-    thresholds = []
-    incoming = []
-    for lam in lambdas:
-        thresholds.append(violation_threshold(w, rho))
-        stages.append((lam, lam))
-        incoming.append(rho)
-        rho = average_two_sided(rho, lam, lam)
-    return ChainReport(family=family, detected_stages=len(stages),
-                       schedule=SharpnessSchedule(tuple(stages)),
-                       thresholds=tuple(thresholds), states=tuple(incoming))
+    return _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
 
 
 def _symmetric_edge_before(h: float) -> float:

@@ -233,6 +233,14 @@ def test_maximize_detectability_rejects_weak_family():
         resource.maximize_detectability(states.StateFamily.werner(0.5))
 
 
+@pytest.mark.parametrize("family", [states.StateFamily.werner(0.3), states.StateFamily.werner(1 / 3),
+                                    states.StateFamily.colored(0.5), states.StateFamily.colored(0.2)])
+def test_maximize_detectability_names_states_no_stage_detects(family):
+    # g < 1: not even stage 1 detects, which must reach the optimizer's own message
+    with pytest.raises(ValueError, match="admits no 3-stage schedule"):
+        resource.maximize_detectability(family)
+
+
 @pytest.mark.parametrize("caps", [(1.0, 1.0, 1.5), (0.0, 1.0, 1.0), (1.0, -0.5, 1.0)])
 def test_maximize_detectability_rejects_caps_outside_unit_interval(caps):
     with pytest.raises(ValueError):

@@ -131,6 +131,25 @@ def test_symmetric_sharpness_maximizes_survival_on_constraint_curve():
             assert seq.average_shrink(xi) * seq.average_shrink(lam) <= symmetric + 1e-6
 
 
+def test_epsilon_policy_sharpness_stops_at_threshold_one():
+    for policy in (seq.EpsilonPolicy(), seq.EpsilonPolicy(paper_rounding=True)):
+        for two_sided in (False, True):
+            assert policy.sharpness(1.0, 1, two_sided) is None
+            assert policy.sharpness(math.inf, 2, two_sided) is None
+
+
+def test_epsilon_policy_sharpness_paper_rounding_snaps_to_grid():
+    policy = seq.EpsilonPolicy(paper_rounding=True)
+    assert policy.sharpness(1 / 3, 1, True) == 0.58
+    assert policy.sharpness(0.4, 2, False) == 0.41
+
+
+def test_epsilon_policy_sharpness_slack_by_stage():
+    policy = seq.EpsilonPolicy(first_stage_slack=0.01, later_stage_slack=0.0)
+    assert policy.sharpness(0.5, 1, True) == math.sqrt(0.51)
+    assert policy.sharpness(0.5, 2, True) == math.sqrt(0.5)
+
+
 def test_epsilon_policy_validation():
     with pytest.raises(ValueError):
         seq.EpsilonPolicy(first_stage_slack=0.2)
@@ -190,6 +209,14 @@ def test_greedy_symmetric_count_stable_over_policy_range():
 def test_greedy_symmetric_max_stages_cap():
     report = seq.greedy_symmetric(BELL, max_stages=2)
     assert report.detected_stages == 2
+    assert len(report.thresholds) == len(report.states) == 2
+
+
+def test_greedy_symmetric_infeasible_stop_records_one_more_threshold():
+    report = seq.greedy_symmetric(BELL)
+    assert len(report.thresholds) == report.detected_stages + 1
+    assert report.thresholds[-1] >= 1.0
+    assert len(report.states) == report.detected_stages
 
 
 @pytest.mark.parametrize("alices,expected", [(1, 12), (2, 8), (3, 5), (4, 3)])
@@ -303,3 +330,24 @@ def test_run_symmetric_schedule_records_states():
     p2 = eq14_parameter(0.73, 0.73)
     expected = states.build(states.StateFamily.werner(p2))
     assert oracles.trace_distance(report.states[1].matrix, expected.matrix) < 1e-12
+
+
+def test_run_symmetric_schedule_records_every_stage_past_detection():
+    report = seq.run_symmetric_schedule(states.StateFamily.werner(0.6), (0.9, 0.9, 0.9))
+    assert report.thresholds == pytest.approx((0.5556, 1.4271, 3.6660), abs=1e-4)
+    assert len(report.states) == 3
+
+
+@pytest.mark.parametrize("family", [BELL, states.StateFamily.werner(0.9),
+                                    states.StateFamily.pure(0.5), states.StateFamily.colored(0.95)])
+@pytest.mark.parametrize("rounding", [False, True])
+def test_fixed_schedule_of_greedy_lambdas_reproduces_the_chain(family, rounding):
+    greedy = seq.greedy_symmetric(family, seq.EpsilonPolicy(paper_rounding=rounding))
+    lambdas = tuple(lam for _, lam in greedy.schedule.stages)
+    assert lambdas
+    fixed = seq.run_symmetric_schedule(family, lambdas)
+    assert fixed.thresholds == greedy.thresholds[:len(lambdas)]
+    assert fixed.schedule == greedy.schedule
+    assert len(fixed.states) == len(greedy.states)
+    for a, b in zip(fixed.states, greedy.states):
+        assert np.array_equal(a.matrix, b.matrix)
