@@ -1,9 +1,10 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything here works on plain ``numpy`` arrays of ``complex128`` entries
-(2x2 or 4x4).  The module also carries the entanglement primitives used as
-independent oracles elsewhere in the package: partial transposition on the
-second qubit and the Wootters concurrence.
+(2x2 or 4x4).  It is the one home of the Pauli product basis, index order
+(I, x, y, z), on whose real coefficients witness modulation and the averaged
+channels act as per-wing scalings.  Partial transposition on the second
+qubit and the Wootters concurrence serve as independent oracles elsewhere.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+# _BASIS[i, j] is sigma_i x sigma_j with index order (I, x, y, z).
+_BASIS = np.array([[tensor(a, b) for b in (_I2, _SX, _SY, _SZ)] for a in (_I2, _SX, _SY, _SZ)])
+_BASIS.setflags(write=False)
+
+
 def is_hermitian(m: np.ndarray, tol: float = VALIDATE_TOL) -> bool:
     """Entrywise check that ``m`` equals its conjugate transpose."""
     m = np.asarray(m)
@@ -66,6 +72,29 @@ def is_hermitian(m: np.ndarray, tol: float = VALIDATE_TOL) -> bool:
 def as_matrix(rho) -> np.ndarray:
     """Accept either a DensityMatrix or a raw array."""
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+
+
+def pauli_coefficients(m) -> np.ndarray:
+    """Real c[i, j] = Tr(sigma_i x sigma_j . m) / 4 of a Hermitian 4x4 operator
+    m (a DensityMatrix or a raw array), inverting ``from_pauli_coefficients``."""
+    m = as_matrix(m)
+    if m.shape != (4, 4) or not is_hermitian(m):
+        raise ValueError("Pauli coefficients need a Hermitian 4x4 matrix")
+    return np.einsum("ijkl,lk->ij", _BASIS, m).real / 4.0
+
+
+def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
+    """The 4x4 operator sum_ij c[i, j] sigma_i x sigma_j."""
+    return np.einsum("ij,ijkl->kl", c, _BASIS)
+
+
+def scale_wings(c: np.ndarray, first: float, second: float) -> np.ndarray:
+    """Copy of coefficient array ``c`` with first-wing Pauli factors (rows 1:)
+    scaled by ``first`` and second-wing ones (columns 1:) by ``second``."""
+    c = np.array(c, dtype=float)
+    c[1:, :] *= first
+    c[:, 1:] *= second
+    return c
 
 
 def expectation(obs: np.ndarray, rho) -> float:

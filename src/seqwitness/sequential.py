@@ -2,9 +2,9 @@
 
 Each observer pair measures one of three orthogonal spin directions with
 equal probability, so the state handed to the next pair is the setting- and
-outcome-averaged Lueders map.  On each measured wing it scales every Pauli
-component by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, which the channels here
-apply in closed form; the Kraus sum it equals is the tests' oracle.  A stage
+outcome-averaged Lueders map.  It scales every Pauli coefficient on each
+measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3 (``qcore.scale_wings``,
+as in witness modulation); the Kraus sum is the tests' oracle.  A stage
 "detects" when the modulated witness expectation on its incoming state is
 negative, which happens exactly when the stage's sharpness product exceeds a
 threshold; the greedy procedures saturate each stage just above its
@@ -21,8 +21,6 @@ from typing import TYPE_CHECKING
 from . import states
 
 if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
-    import numpy as np
-
     from .qcore import DensityMatrix
     from .witness import WitnessOperator
 
@@ -36,23 +34,6 @@ def average_shrink(lam: float) -> float:
     return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
 
 
-def _shrink_wing(rho, s: float, wing: int) -> np.ndarray:
-    """s * rho + (1 - s) * (rho with ``wing`` traced out and replaced by I/2),
-    which scales every Pauli component on that wing by ``s``."""
-    import numpy as np
-
-    from . import qcore
-
-    m = qcore.as_matrix(rho)
-    t = m.reshape(2, 2, 2, 2)  # indices (a, b; a', b')
-    half = np.eye(2, dtype=complex) / 2.0
-    if wing == 0:
-        replaced = np.kron(half, np.einsum("ijil->jl", t))
-    else:
-        replaced = np.kron(np.einsum("ijkj->ik", t), half)
-    return s * m + (1.0 - s) * replaced
-
-
 def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     """Average post-measurement state after both wings measure.
 
@@ -63,19 +44,21 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     """
     from . import qcore
 
-    m = _shrink_wing(rho, average_shrink(xi), wing=0)
-    return qcore.DensityMatrix(_shrink_wing(m, average_shrink(lam), wing=1))
+    c = qcore.scale_wings(qcore.pauli_coefficients(rho), average_shrink(xi), average_shrink(lam))
+    return qcore.DensityMatrix(qcore.from_pauli_coefficients(c))
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
     """Average post-measurement state when only the second wing measures.
 
-    Pauli components on the second wing shrink by average_shrink(lam); the
-    test oracle is the 6-term Kraus sum of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
+    Pauli components on the second wing shrink by average_shrink(lam), and a
+    first-wing scale of 1.0 is exact; the test oracle is the 6-term Kraus sum
+    of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
     """
     from . import qcore
 
-    return qcore.DensityMatrix(_shrink_wing(rho, average_shrink(lam), wing=1))
+    c = qcore.scale_wings(qcore.pauli_coefficients(rho), 1.0, average_shrink(lam))
+    return qcore.DensityMatrix(qcore.from_pauli_coefficients(c))
 
 
 def violation_threshold(w: WitnessOperator, rho) -> float:
@@ -158,8 +141,8 @@ class ChainReport:
     one per stage, plus a last one of at least 1 when a greedy chain ends at
     an infeasible stage (none when it ends at its stage cap, nor for a fixed
     schedule).  ``states`` holds the averaged state entering each recorded
-    stage: every detecting stage of a greedy chain, and every scheduled stage
-    of ``run_symmetric_schedule``, whether or not it detects.
+    stage.  A fixed schedule records every scheduled stage, so its
+    ``detected_stages`` is the schedule's length, detecting or not.
     """
 
     family: states.StateFamily
@@ -211,7 +194,8 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
             break
         stages.append((s if two_sided else 1.0, s))
         incoming.append(rho)
-        rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
+        if len(stages) != max_stages:  # no channel after the last stage
+            rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
     return ChainReport(family=family, detected_stages=len(stages),
                        schedule=SharpnessSchedule(tuple(stages)),
                        thresholds=tuple(thresholds), states=tuple(incoming))
@@ -252,6 +236,7 @@ def run_symmetric_schedule(family: states.StateFamily,
     recorded for every stage, including those whose threshold reaches 1, so
     the caller can evaluate stage-wise witness expectations.
     """
+    SharpnessSchedule(tuple((lam, lam) for lam in lambdas))  # checks entries before any channel
     return _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
 
 

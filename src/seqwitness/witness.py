@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
-from .qcore import DensityMatrix, eigen_hermitian, expectation as _matrix_expectation
-from .qcore import is_hermitian, partial_transpose_b, pauli, tensor
+from .qcore import eigen_hermitian, expectation as _matrix_expectation, from_pauli_coefficients
+from .qcore import partial_transpose_b, pauli, pauli_coefficients, scale_wings
 
 # A partial transpose eigenvalue above this is not treated as negative.
 _NEGATIVITY_TOL = 1e-10
-
-_LABELS = ("identity", "x", "y", "z")
-# _BASIS[i, j] is sigma_i x sigma_j.
-_BASIS = np.array([[tensor(pauli(a), pauli(b)) for b in _LABELS] for a in _LABELS])
-_BASIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class WitnessOperator:
         """The 4x4 Hermitian operator, built on first use and kept read-only."""
         m = self.__dict__.get("_matrix")
         if m is None:
-            m = np.einsum("ij,ijkl->kl", self.coefficients, _BASIS)
+            m = from_pauli_coefficients(self.coefficients)
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return m
@@ -56,11 +51,7 @@ class WitnessOperator:
 
 def from_matrix(m: np.ndarray) -> WitnessOperator:
     """Project a Hermitian 4x4 operator onto the Pauli coefficient basis."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4) or not is_hermitian(m):
-        raise ValueError("witness source must be a Hermitian 4x4 matrix")
-    # Tr(B_ij m) / 4 for every basis element B_ij at once
-    return WitnessOperator(np.einsum("ijkl,lk->ij", _BASIS, m).real / 4.0)
+    return WitnessOperator(pauli_coefficients(m))
 
 
 def witness_psi_plus() -> WitnessOperator:
@@ -131,10 +122,7 @@ def modulate(w: WitnessOperator, xi: float, lam: float) -> WitnessOperator:
         raise ValueError("modulation parameters must lie in (0, 1]")
     if w.modulation is not None:
         raise ValueError("witness is already modulated")
-    c = np.array(w.coefficients)
-    c[1:, :] *= xi
-    c[:, 1:] *= lam
-    return WitnessOperator(c, modulation=(xi, lam))
+    return WitnessOperator(scale_wings(w.coefficients, xi, lam), modulation=(xi, lam))
 
 
 def expectation(w: WitnessOperator, rho) -> float:
@@ -157,9 +145,8 @@ def separability_floor(w: WitnessOperator, samples: int, seed: int = 0) -> float
         raw = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         kets = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         out = np.empty((n, 4))
-        for idx, label in enumerate(_LABELS):
-            sigma = pauli(label)
-            out[:, idx] = np.einsum("ni,ij,nj->n", kets.conj(), sigma, kets).real
+        for idx, axis in enumerate("ixyz"):  # the (I, x, y, z) coefficient order
+            out[:, idx] = np.einsum("ni,ij,nj->n", kets.conj(), pauli(axis), kets).real
         return out
 
     a = moments(samples)

@@ -76,6 +76,36 @@ def test_tensor_algebra_laws(seed):
                          - qcore.tensor(mats[0] @ c, mats[1] @ d))) < 1e-12
 
 
+def test_pauli_coefficients_round_trip_on_random_hermitian_matrices():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = (x + x.conj().T) / 2
+        c = qcore.pauli_coefficients(m)
+        assert c.dtype == float
+        assert np.max(np.abs(qcore.from_pauli_coefficients(c) - m)) < 1e-14
+        assert np.max(np.abs(oracles.witness_matrix(c) - m)) < 1e-14
+
+
+def test_pauli_coefficients_reject_non_hermitian_and_wrong_shape():
+    skewed = (np.eye(4) / 4).astype(complex)
+    skewed[0, 1] = 0.1
+    for bad in (skewed, np.eye(2) / 2):
+        with pytest.raises(ValueError, match="Hermitian 4x4"):
+            qcore.pauli_coefficients(bad)
+
+
+def test_scale_wings_scales_rows_and_columns_of_a_copy():
+    c = np.arange(16.0).reshape(4, 4)
+    scaled = qcore.scale_wings(c, 0.5, 0.25)
+    assert np.array_equal(c, np.arange(16.0).reshape(4, 4))
+    assert scaled[0, 0] == c[0, 0]
+    assert np.array_equal(scaled[1:, 0], 0.5 * c[1:, 0])
+    assert np.array_equal(scaled[0, 1:], 0.25 * c[0, 1:])
+    assert np.array_equal(scaled[1:, 1:], 0.125 * c[1:, 1:])
+    assert np.array_equal(qcore.scale_wings(c, 1.0, 0.25)[1:, 0], c[1:, 0])
+
+
 def test_expectation_bell_correlations():
     psi = psi_plus_ket()
     rho = np.outer(psi, psi.conj())

@@ -77,6 +77,16 @@ def test_one_sided_channel_weak_and_sharp_limits():
     assert oracles.trace_distance(out.matrix, expected.matrix) < 1e-12
 
 
+def test_channels_reject_non_hermitian_and_two_by_two_input():
+    skewed = (np.eye(4) / 4).astype(complex)
+    skewed[0, 1] = 0.1
+    for bad in (skewed, np.eye(2) / 2):
+        with pytest.raises(ValueError):
+            seq.average_two_sided(bad, 0.7, 0.6)
+        with pytest.raises(ValueError):
+            seq.average_one_sided(bad, 0.6)
+
+
 def test_violation_threshold_bell():
     w = witness.witness_psi_plus()
     t = seq.violation_threshold(w, states.build(BELL))
@@ -351,3 +361,36 @@ def test_fixed_schedule_of_greedy_lambdas_reproduces_the_chain(family, rounding)
     assert len(fixed.states) == len(greedy.states)
     for a, b in zip(fixed.states, greedy.states):
         assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("lambdas", [(1.5, 0.5), (0.5, 1.5), (math.nan, 0.5)])
+def test_run_symmetric_schedule_checks_entries_before_any_channel(lambdas):
+    with pytest.raises(ValueError, match=r"schedule entries must lie in \(0, 1\]"):
+        seq.run_symmetric_schedule(BELL, lambdas)
+
+
+def test_no_channel_runs_after_a_chain_s_last_stage(monkeypatch):
+    calls = {"two": 0, "one": 0}
+    two_sided, one_sided = seq.average_two_sided, seq.average_one_sided
+
+    def count_two(*args):
+        calls["two"] += 1
+        return two_sided(*args)
+
+    def count_one(*args):
+        calls["one"] += 1
+        return one_sided(*args)
+
+    monkeypatch.setattr(seq, "average_two_sided", count_two)
+    monkeypatch.setattr(seq, "average_one_sided", count_one)
+    runs = [
+        (lambda: seq.run_symmetric_schedule(BELL, (0.73, 0.8, 1.0)), (2, 0)),
+        (lambda: seq.greedy_symmetric(BELL, max_stages=2), (1, 0)),
+        (lambda: seq.greedy_asymmetric(1, BELL, max_bobs=5), (0, 4)),
+        # an infeasible stop needs the state entering the failing stage
+        (lambda: seq.greedy_symmetric(BELL), (3, 0)),
+    ]
+    for run, expected in runs:
+        calls.update(two=0, one=0)
+        run()
+        assert (calls["two"], calls["one"]) == expected

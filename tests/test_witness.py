@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqwitness import states, witness
+from seqwitness import qcore, states, witness
 from seqwitness.qcore import is_hermitian
 
 import oracles
@@ -107,6 +107,13 @@ def test_modulate_is_multiplicative_in_coefficients(x1, l1, x2, l2):
     stepped = witness.WitnessOperator(witness.modulate(w, x1, l1).coefficients)
     stepped = witness.modulate(stepped, x2, l2)
     assert np.max(np.abs(once.coefficients - stepped.coefficients)) < 1e-14
+
+
+def test_modulate_uses_the_shared_wing_scaling():
+    for w in (witness.witness_psi_plus(), witness.witness_phi_colored()):
+        for xi, lam in ((0.3, 0.9), (1.0, 0.58), (0.77, 1.0)):
+            assert np.array_equal(witness.modulate(w, xi, lam).coefficients,
+                                  qcore.scale_wings(w.coefficients, xi, lam))
 
 
 def test_modulate_validation():
