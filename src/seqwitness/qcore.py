@@ -3,7 +3,10 @@
 Everything here works on plain ``numpy`` arrays of ``complex128`` entries
 (2x2 or 4x4).  It is the one home of the Pauli product basis, index order
 (I, x, y, z), on whose real coefficients witness modulation and the averaged
-channels act as per-wing scalings.  Partial transposition on the second
+channels act as per-wing scalings and witness expectations as dot products.
+A two-qubit state carries its coefficient array: ``state_from_pauli_coefficients``
+keeps the array a state is built from, and ``pauli_coefficients`` returns it
+without going back through the matrix.  Partial transposition on the second
 qubit and the Wootters concurrence serve as independent oracles elsewhere.
 """
 
@@ -60,13 +63,21 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # _BASIS[i, j] is sigma_i x sigma_j with index order (I, x, y, z).
 _BASIS = np.array([[tensor(a, b) for b in (_I2, _SX, _SY, _SZ)] for a in (_I2, _SX, _SY, _SZ)])
-_BASIS.setflags(write=False)
+# Flat forms, row 4i + j: the matrix entries of sigma_i x sigma_j in row-major
+# order, and those of its transpose, so Tr(sigma_i x sigma_j . m) is a dot
+# product with m's entries.
+_BASIS_FLAT = _BASIS.reshape(16, 16)
+_TRACE_FLAT = _BASIS.transpose(0, 1, 3, 2).reshape(16, 16)
+# The shift of the PSD check in DensityMatrix, per dimension.
+_PSD_SHIFT = {n: ORACLE_TOL * np.eye(n) for n in (2, 4)}
+for _m in (_BASIS, _BASIS_FLAT, _TRACE_FLAT, *_PSD_SHIFT.values()):
+    _m.setflags(write=False)
 
 
 def is_hermitian(m: np.ndarray, tol: float = VALIDATE_TOL) -> bool:
     """Entrywise check that ``m`` equals its conjugate transpose."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(abs(m - m.conj().T).max() <= tol)
 
 
 def as_matrix(rho) -> np.ndarray:
@@ -76,16 +87,46 @@ def as_matrix(rho) -> np.ndarray:
 
 def pauli_coefficients(m) -> np.ndarray:
     """Real c[i, j] = Tr(sigma_i x sigma_j . m) / 4 of a Hermitian 4x4 operator
-    m (a DensityMatrix or a raw array), inverting ``from_pauli_coefficients``."""
-    m = as_matrix(m)
-    if m.shape != (4, 4) or not is_hermitian(m):
+    m (a DensityMatrix or a raw array), inverting ``from_pauli_coefficients``.
+
+    A DensityMatrix returns the read-only array it carries, computing and
+    keeping it on the first call when it was built from a matrix.
+    """
+    carried = isinstance(m, DensityMatrix)
+    if carried and "_coefficients" in m.__dict__:
+        return m.__dict__["_coefficients"]
+    matrix = as_matrix(m)
+    # a DensityMatrix passed the Hermiticity check on construction
+    if matrix.shape != (4, 4) or not (carried or is_hermitian(matrix)):
         raise ValueError("Pauli coefficients need a Hermitian 4x4 matrix")
-    return np.einsum("ijkl,lk->ij", _BASIS, m).real / 4.0
+    c = (_TRACE_FLAT @ matrix.reshape(16)).real.reshape(4, 4) / 4.0
+    if carried:
+        c.setflags(write=False)
+        object.__setattr__(m, "_coefficients", c)
+    return c
 
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     """The 4x4 operator sum_ij c[i, j] sigma_i x sigma_j."""
-    return np.einsum("ij,ijkl->kl", c, _BASIS)
+    return (np.reshape(c, 16) @ _BASIS_FLAT).reshape(4, 4)
+
+
+def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
+    """The validated two-qubit state with Pauli coefficients ``c``, carrying a
+    read-only copy of ``c`` for ``pauli_coefficients``."""
+    c = np.array(c, dtype=float)
+    if c.shape != (4, 4):
+        raise ValueError("Pauli coefficients must be a real 4x4 array")
+    rho = DensityMatrix(from_pauli_coefficients(c))
+    c.setflags(write=False)
+    object.__setattr__(rho, "_coefficients", c)
+    return rho
+
+
+def coefficient_expectation(c: np.ndarray, rho) -> float:
+    """Tr(O rho) = 4 sum_ij c[i, j] r[i, j] for the operator O with Pauli
+    coefficients ``c`` and the coefficients r of the 4x4 state ``rho``."""
+    return 4.0 * float(np.vdot(c, pauli_coefficients(rho)))
 
 
 def scale_wings(c: np.ndarray, first: float, second: float) -> np.ndarray:
@@ -151,7 +192,10 @@ class DensityMatrix:
     """A validated one- or two-qubit state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
-    so every state produced by a channel in this package is certified.
+    so every state produced by a channel in this package is certified.  A
+    two-qubit state also carries its Pauli coefficient array, read-only: the
+    one ``state_from_pauli_coefficients`` built it from, or the one the first
+    ``pauli_coefficients`` call computes from the matrix.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -160,18 +204,26 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError("density matrix must be 2x2 or 4x4")
-        if abs(np.trace(m) - 1.0) > VALIDATE_TOL:
-            raise ValueError(f"trace {np.trace(m):.3g} differs from 1")
+        if abs(m.trace() - 1.0) > VALIDATE_TOL:
+            _reject(m, f"trace {m.trace():.3g} differs from 1")
         if not is_hermitian(m):
-            raise ValueError("density matrix must be Hermitian")
+            _reject(m, "density matrix must be Hermitian")
         # m + ORACLE_TOL * I has a Cholesky factor iff no eigenvalue is below
         # -ORACLE_TOL, and a first Cholesky call pages in less than an eigensolve
         try:
-            np.linalg.cholesky(m + ORACLE_TOL * np.eye(m.shape[0]))
+            np.linalg.cholesky(m + _PSD_SHIFT[m.shape[0]])
         except np.linalg.LinAlgError:
-            raise ValueError(f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}") from None
+            _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _reject(m: np.ndarray, message: str):
+    """Raise a failed check's ``message``, or name non-finite entries when
+    there are any, since NaN fails every check (only failures pay for this)."""
+    if not np.isfinite(m).all():
+        message = "density matrix has non-finite entries"
+    raise ValueError(message) from None
 
 
 def concurrence_wootters(rho) -> float:

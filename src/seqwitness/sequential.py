@@ -4,9 +4,11 @@ Each observer pair measures one of three orthogonal spin directions with
 equal probability, so the state handed to the next pair is the setting- and
 outcome-averaged Lueders map.  It scales every Pauli coefficient on each
 measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3 (``qcore.scale_wings``,
-as in witness modulation); the Kraus sum is the tests' oracle.  A stage
-"detects" when the modulated witness expectation on its incoming state is
-negative, which happens exactly when the stage's sharpness product exceeds a
+as in witness modulation); the Kraus sum is the tests' oracle.  Every state in
+a chain carries its Pauli coefficient array, so a channel scales it without a
+trip through the matrix and a threshold is a dot product with the witness's
+coefficients.  A stage "detects" when the modulated witness expectation on
+its incoming state is negative, which happens exactly when the stage's sharpness product exceeds a
 threshold; the greedy procedures saturate each stage just above its
 threshold to disturb the state as little as possible and count how many
 stages stay below product 1.
@@ -45,7 +47,7 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     from . import qcore
 
     c = qcore.scale_wings(qcore.pauli_coefficients(rho), average_shrink(xi), average_shrink(lam))
-    return qcore.DensityMatrix(qcore.from_pauli_coefficients(c))
+    return qcore.state_from_pauli_coefficients(c)
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
@@ -58,7 +60,7 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     from . import qcore
 
     c = qcore.scale_wings(qcore.pauli_coefficients(rho), 1.0, average_shrink(lam))
-    return qcore.DensityMatrix(qcore.from_pauli_coefficients(c))
+    return qcore.state_from_pauli_coefficients(c)
 
 
 def violation_threshold(w: WitnessOperator, rho) -> float:
@@ -67,13 +69,14 @@ def violation_threshold(w: WitnessOperator, rho) -> float:
     Detection requires strictly exceeding the returned value.  The same
     affine root bounds the two-sided product xi lam and the one-sided lam
     (xi pinned at 1).  Values above 1 are returned as-is and mean detection
-    is impossible.
+    is impossible.  The expectation Tr(W rho) = 4 sum_ij w[i, j] c[i, j]
+    reads the Pauli coefficients c that a state carries.
     """
     from . import qcore
 
     if w.modulation is not None:
         raise ValueError("threshold is defined for the unmodulated witness")
-    full = qcore.expectation(w.matrix(), rho)
+    full = qcore.coefficient_expectation(w.coefficients, rho)
     ident = w.identity_weight()
     slope = full - ident  # coefficient of the sharpness product
     if slope >= -1e-15:

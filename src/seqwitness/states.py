@@ -3,7 +3,9 @@ inverse, and their closed-form concurrences.
 
 Basis ordering is fixed as |00>, |01>, |10>, |11>.  The maximally entangled
 reference states are psi+ = (|01> + |10>)/sqrt(2) and
-phi+ = (|00> + |11>)/sqrt(2).
+phi+ = (|00> + |11>)/sqrt(2).  ``build`` writes each family's Pauli
+coefficients in closed form, and the state carries them; the construction
+from kets is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy and qcore load on the first state build
-    import numpy as np
-
     from .qcore import DensityMatrix
 
 BELL = "bell"
@@ -22,23 +22,6 @@ WERNER = "werner"
 COLORED = "colored"
 PURE = "pure"
 KINDS = (BELL, WERNER, COLORED, PURE)
-
-
-def ket(index: int) -> np.ndarray:
-    """Computational basis ket |00>..|11> by index 0..3."""
-    import numpy as np
-
-    v = np.zeros(4, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def psi_plus_ket() -> np.ndarray:
-    return (ket(1) + ket(2)) / math.sqrt(2.0)
-
-
-def phi_plus_ket() -> np.ndarray:
-    return (ket(0) + ket(3)) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,25 +70,28 @@ class StateFamily:
 
 
 def build(family: StateFamily) -> DensityMatrix:
-    """Materialize the 4x4 density matrix of a state family."""
+    """The family's validated 4x4 state, written from its closed-form Pauli
+    coefficients, which the state carries (times 4, order I, x, y, z):
+    diag(1, p, p, -p) for werner (p = 1 for bell), diag(1, p, -p, 2p - 1)
+    for colored, and for pure sin(2 theta) on xx and yy, -1 on zz and
+    +-cos(2 theta) on zI and Iz."""
     import numpy as np
 
-    from .qcore import DensityMatrix
+    from .qcore import state_from_pauli_coefficients
 
-    if family.kind == BELL:
-        psi = psi_plus_ket()
-        return DensityMatrix(np.outer(psi, psi.conj()))
-    if family.kind == WERNER:
-        psi = psi_plus_ket()
+    c = np.zeros((4, 4))
+    c[0, 0] = 1.0
+    if family.kind in (BELL, WERNER):
+        p = 1.0 if family.kind == BELL else family.param
+        c[1, 1], c[2, 2], c[3, 3] = p, p, -p
+    elif family.kind == COLORED:
         p = family.param
-        return DensityMatrix(p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
-    if family.kind == COLORED:
-        phi = phi_plus_ket()
-        p = family.param
-        noise = (np.outer(ket(1), ket(1).conj()) + np.outer(ket(2), ket(2).conj())) / 2.0
-        return DensityMatrix(p * np.outer(phi, phi.conj()) + (1.0 - p) * noise)
-    psi = math.cos(family.param) * ket(1) + math.sin(family.param) * ket(2)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+        c[1, 1], c[2, 2], c[3, 3] = p, -p, 2.0 * p - 1.0
+    else:
+        s2, c2 = math.sin(2.0 * family.param), math.cos(2.0 * family.param)
+        c[1, 1], c[2, 2], c[3, 3] = s2, s2, -1.0
+        c[3, 0], c[0, 3] = c2, -c2
+    return state_from_pauli_coefficients(c / 4.0)
 
 
 def concurrence_closed_form(family: StateFamily) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
-from .qcore import eigen_hermitian, expectation as _matrix_expectation, from_pauli_coefficients
+from .qcore import coefficient_expectation, eigen_hermitian, from_pauli_coefficients
 from .qcore import partial_transpose_b, pauli, pauli_coefficients, scale_wings
 
 # A partial transpose eigenvalue above this is not treated as negative.
@@ -126,8 +126,9 @@ def modulate(w: WitnessOperator, xi: float, lam: float) -> WitnessOperator:
 
 
 def expectation(w: WitnessOperator, rho) -> float:
-    """Tr(W rho) for a witness and a (density) matrix."""
-    return _matrix_expectation(w.matrix(), rho)
+    """Tr(W rho) = 4 sum_ij w[i, j] c[i, j] for a witness and a two-qubit
+    (density) matrix with Pauli coefficients c, which a state carries."""
+    return coefficient_expectation(w.coefficients, rho)
 
 
 def separability_floor(w: WitnessOperator, samples: int, seed: int = 0) -> float:

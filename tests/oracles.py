@@ -49,6 +49,47 @@ def trace_product(a, b):
     return total
 
 
+def pauli_coefficients(m):
+    """c[i, j] = Tr(sigma_i x sigma_j . m) / 4, (I, x, y, z) order, term by
+    term through ``kron4`` and ``trace_product``."""
+    labels = ("identity", "x", "y", "z")
+    c = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(4):
+            c[i, j] = trace_product(kron4(PAULIS[labels[i]], PAULIS[labels[j]]), m).real / 4.0
+    return c
+
+
+def ket(index):
+    """Computational basis ket |00>..|11> by index 0..3."""
+    v = np.zeros(4, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def psi_plus_ket():
+    return (ket(1) + ket(2)) / math.sqrt(2.0)
+
+
+def phi_plus_ket():
+    return (ket(0) + ket(3)) / math.sqrt(2.0)
+
+
+def family_matrix(family):
+    """Density matrix of a state family from kets and outer products."""
+    if family.kind in ("bell", "werner"):
+        psi = psi_plus_ket()
+        p = 1.0 if family.kind == "bell" else family.param
+        return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
+    if family.kind == "colored":
+        phi = phi_plus_ket()
+        p = family.param
+        noise = (np.outer(ket(1), ket(1).conj()) + np.outer(ket(2), ket(2).conj())) / 2.0
+        return p * np.outer(phi, phi.conj()) + (1.0 - p) * noise
+    psi = math.cos(family.param) * ket(1) + math.sin(family.param) * ket(2)
+    return np.outer(psi, psi.conj())
+
+
 def eigvals(h):
     return np.linalg.eigvalsh(h)
 

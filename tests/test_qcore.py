@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqwitness import qcore
-from seqwitness.states import StateFamily, build, psi_plus_ket
+from seqwitness.states import StateFamily, build
 
 import oracles
 
@@ -95,6 +95,43 @@ def test_pauli_coefficients_reject_non_hermitian_and_wrong_shape():
             qcore.pauli_coefficients(bad)
 
 
+def test_state_carries_a_read_only_copy_of_its_coefficients():
+    c = np.zeros((4, 4))
+    c[0, 0], c[1, 1], c[2, 2], c[3, 3] = 0.25, 0.2, 0.2, -0.2
+    rho = qcore.state_from_pauli_coefficients(c)
+    carried = qcore.pauli_coefficients(rho)
+    assert np.array_equal(carried, c)
+    c[1, 1] = 0.0  # the state keeps the array it was built from
+    assert carried[1, 1] == 0.2
+    with pytest.raises(ValueError):
+        carried[0, 0] = 1.0
+    assert np.max(np.abs(rho.matrix - oracles.witness_matrix(carried))) < 1e-15
+    with pytest.raises(ValueError, match="real 4x4"):
+        qcore.state_from_pauli_coefficients(np.eye(2) / 2)
+
+
+def test_matrix_built_state_computes_its_coefficients_once():
+    rng = np.random.default_rng(5)
+    rho = qcore.DensityMatrix(oracles.random_density_matrix(rng, 4))
+    first = qcore.pauli_coefficients(rho)
+    assert qcore.pauli_coefficients(rho) is first
+    assert not first.flags.writeable
+    assert np.max(np.abs(first - oracles.pauli_coefficients(rho.matrix))) < 1e-15
+    # a raw array gets a fresh, writable array each call
+    raw = qcore.pauli_coefficients(rho.matrix)
+    assert raw is not first and raw.flags.writeable
+
+
+def test_coefficient_expectation_matches_trace_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        rho = oracles.random_density_matrix(rng, 4)
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        obs = (x + x.conj().T) / 2
+        value = qcore.coefficient_expectation(qcore.pauli_coefficients(obs), rho)
+        assert value == pytest.approx(oracles.trace_product(obs, rho).real, abs=1e-13)
+
+
 def test_scale_wings_scales_rows_and_columns_of_a_copy():
     c = np.arange(16.0).reshape(4, 4)
     scaled = qcore.scale_wings(c, 0.5, 0.25)
@@ -107,7 +144,7 @@ def test_scale_wings_scales_rows_and_columns_of_a_copy():
 
 
 def test_expectation_bell_correlations():
-    psi = psi_plus_ket()
+    psi = oracles.psi_plus_ket()
     rho = np.outer(psi, psi.conj())
     zz = qcore.tensor(qcore.pauli("z"), qcore.pauli("z"))
     xx = qcore.tensor(qcore.pauli("x"), qcore.pauli("x"))
@@ -147,7 +184,7 @@ def test_partial_transpose_of_product_states_stays_positive():
 
 
 def test_partial_transpose_bell_spectrum():
-    psi = psi_plus_ket()
+    psi = oracles.psi_plus_ket()
     rho = np.outer(psi, psi.conj())
     evals, _ = qcore.eigen_hermitian(qcore.partial_transpose_b(rho))
     assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
@@ -156,7 +193,7 @@ def test_partial_transpose_bell_spectrum():
 def test_eigen_simple_cases():
     evals, _ = qcore.eigen_hermitian(qcore.pauli("z"))
     assert np.allclose(evals, [-1.0, 1.0])
-    psi = psi_plus_ket()
+    psi = oracles.psi_plus_ket()
     evals, _ = qcore.eigen_hermitian(np.outer(psi, psi.conj()))
     assert np.allclose(evals, [0, 0, 0, 1], atol=1e-12)
 
@@ -170,7 +207,7 @@ def test_eigen_matches_lapack_and_reconstructs():
             cases.append((x + x.conj().T) / 2)
     # degenerate spectra: fourfold 1/4, and the triple 0.5 of the Bell
     # projector's partial transpose
-    psi = psi_plus_ket()
+    psi = oracles.psi_plus_ket()
     cases.append(np.eye(4, dtype=complex) / 4)
     cases.append(qcore.partial_transpose_b(np.outer(psi, psi.conj())))
     for h in cases:
@@ -202,7 +239,7 @@ def test_operator_norm_general_matrix():
 
 
 def test_concurrence_extremes():
-    psi = psi_plus_ket()
+    psi = oracles.psi_plus_ket()
     assert qcore.concurrence_wootters(np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-10)
     assert qcore.concurrence_wootters(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-10)
 
@@ -233,6 +270,13 @@ def test_density_matrix_validation():
         qcore.DensityMatrix(neg)  # negative eigenvalue
     with pytest.raises(ValueError):
         qcore.DensityMatrix(np.eye(3) / 3)  # bad dimension
+
+
+@pytest.mark.parametrize("m", [np.full((4, 4), np.nan), np.diag([np.nan, 0.0, 0.0, 1.0]),
+                               np.diag([np.inf, 0.0, 0.0, 1.0]), np.full((2, 2), np.nan)])
+def test_density_matrix_names_non_finite_entries(m):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        qcore.DensityMatrix(m)
 
 
 def test_density_matrix_negative_eigenvalue_threshold():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqwitness import sequential as seq
-from seqwitness import states, witness
+from seqwitness import qcore, states, witness
 
 import oracles
 
@@ -105,8 +105,18 @@ def test_violation_threshold_impossible():
     w = witness.witness_psi_plus()
     separable = states.build(states.StateFamily.werner(0.2))
     assert seq.violation_threshold(w, separable) > 1.0
-    k00 = states.ket(0)
+    k00 = oracles.ket(0)
     assert seq.violation_threshold(w, np.outer(k00, k00.conj())) == math.inf
+
+
+def test_violation_threshold_and_expectation_reject_one_qubit_states():
+    w = witness.witness_psi_plus()
+    qubit = qcore.DensityMatrix(np.eye(2) / 2)
+    for bad in (qubit, qubit.matrix):
+        with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
+            seq.violation_threshold(w, bad)
+        with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
+            witness.expectation(w, bad)
 
 
 def test_violation_threshold_rejects_modulated_witness():
@@ -394,3 +404,18 @@ def test_no_channel_runs_after_a_chain_s_last_stage(monkeypatch):
         calls.update(two=0, one=0)
         run()
         assert (calls["two"], calls["one"]) == expected
+
+
+@pytest.mark.parametrize("family", [BELL, states.StateFamily.werner(0.9),
+                                    states.StateFamily.colored(0.95), states.StateFamily.pure(0.6)])
+@pytest.mark.parametrize("chain", [seq.greedy_symmetric,
+                                   lambda family: seq.greedy_asymmetric(1, family),
+                                   lambda family: seq.greedy_asymmetric(3, family)])
+def test_chain_states_carry_read_only_coefficients_of_their_matrix(family, chain):
+    report = chain(family)
+    assert report.states
+    for rho in report.states:
+        c = qcore.pauli_coefficients(rho)
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
+        assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15

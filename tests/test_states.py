@@ -105,3 +105,18 @@ def test_param_for_strength_pure_range_and_kinds():
     for kind in ("bell", "mystery"):
         with pytest.raises(ValueError, match="werner, colored and pure"):
             states.param_for_strength(kind, 2.0)
+
+
+def test_build_matches_ket_oracle_entrywise():
+    rng = np.random.default_rng(29)
+    families = [states.StateFamily.bell()]
+    for _ in range(10):
+        families.append(states.StateFamily.werner(rng.uniform(0.01, 1.0)))
+        families.append(states.StateFamily.colored(rng.uniform(0.01, 1.0)))
+        families.append(states.StateFamily.pure(rng.uniform(0.01, math.pi / 4 - 0.01)))
+    for theta in (1e-12, 1e-6, math.pi / 4 - 1e-6, math.nextafter(math.pi / 4, 0.0)):
+        families.append(states.StateFamily.pure(theta))
+    families += [states.StateFamily.werner(1.0), states.StateFamily.colored(1.0)]
+    for family in families:
+        rho = states.build(family)
+        assert np.max(np.abs(rho.matrix - oracles.family_matrix(family))) < 1e-15, family

@@ -18,7 +18,7 @@ def test_psi_plus_witness_expectations():
     bell = states.build(states.StateFamily.bell())
     assert witness.expectation(w, bell) == pytest.approx(-0.5, abs=1e-12)
     assert witness.expectation(w, np.eye(4) / 4) == pytest.approx(0.25, abs=1e-12)
-    k00 = states.ket(0)
+    k00 = oracles.ket(0)
     assert witness.expectation(w, np.outer(k00, k00.conj())) == pytest.approx(0.5, abs=1e-12)
 
 
