@@ -5,18 +5,25 @@ chains, ``compare`` emits the sequential vs non-sequential resource tables,
 and ``witness-eval`` evaluates a modulated witness on one state.  Output is
 JSON (default), CSV or plain text on stdout; diagnostics go to stderr.
 Identical flags and seed produce byte-identical output.
+
+Each subcommand imports only what it runs, and ``json`` only under
+``--format json``: ``witness-eval`` needs just ``states``; ``compare`` adds
+``resource`` (which loads ``sequential`` and ``dataclasses``, not numpy);
+``max-observers`` adds ``sequential`` and, through its matrix chain, numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import resource, sequential, states
+from . import states
+
+if TYPE_CHECKING:
+    from . import resource
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -39,6 +46,12 @@ def _quantize(value, digits: int):
     if isinstance(value, (list, tuple)):
         return [_quantize(v, digits) for v in value]
     return value
+
+
+def _print_json(payload: dict, digits: int):
+    import json
+
+    print(json.dumps(_quantize(payload, digits), allow_nan=False))
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -198,6 +211,8 @@ def _family_from_args(parser, args) -> states.StateFamily:
 
 
 def _cmd_max_observers(parser, args) -> int:
+    from . import sequential
+
     family = _family_from_args(parser, args)
     policy = sequential.EpsilonPolicy(first_stage_slack=args.epsilon1,
                                       later_stage_slack=args.epsilon,
@@ -212,7 +227,7 @@ def _cmd_max_observers(parser, args) -> int:
         "thresholds": list(report.thresholds),
     }
     if args.format == "json":
-        print(json.dumps(_quantize(payload, d), allow_nan=False))
+        _print_json(payload, d)
     elif args.format == "csv":
         lines = ["stage,xi,lambda,threshold,detected"]
         for i, t in enumerate(report.thresholds):
@@ -236,8 +251,7 @@ def _cmd_max_observers(parser, args) -> int:
 
 
 def _row_dict(row: resource.ComparisonRow) -> dict:
-    data = dataclasses.asdict(row)
-    return {k: v for k, v in data.items() if v is not None or k == "family"}
+    return {k: v for k, v in vars(row).items() if v is not None or k == "family"}
 
 
 def _table_payload(rows: list[resource.ComparisonRow]) -> dict:
@@ -252,6 +266,8 @@ def _table_payload(rows: list[resource.ComparisonRow]) -> dict:
 
 
 def _cmd_compare(parser, args) -> int:
+    from . import resource
+
     tab1, tab2 = resource.build_comparison_tables(paper_rounded=args.paper_rounding)
     d = args.digits
     if args.format == "json":
@@ -261,7 +277,7 @@ def _cmd_compare(parser, args) -> int:
             payload = {"table": 2, **_table_payload(tab2)}
         else:
             payload = {"table1": _table_payload(tab1), "table2": _table_payload(tab2)}
-        print(json.dumps(_quantize(payload, d), allow_nan=False))
+        _print_json(payload, d)
         return EXIT_OK
 
     def csv_lines(rows):
@@ -310,7 +326,7 @@ def _cmd_witness_eval(parser, args) -> int:
     if args.format == "json":
         payload = {"state": family.kind, "parameter": family.param,
                    "xi": args.xi, "lambda": args.lam, "expectation": value}
-        print(json.dumps(_quantize(payload, d), allow_nan=False))
+        _print_json(payload, d)
     elif args.format == "csv":
         print("state,parameter,xi,lambda,expectation\n"
               f"{family.kind},{'' if family.param is None else _fmt(family.param, d)},"

@@ -114,9 +114,11 @@ def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
 def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
     """The validated two-qubit state with Pauli coefficients ``c``, carrying a
     read-only copy of ``c`` for ``pauli_coefficients``."""
-    c = np.array(c, dtype=float)
-    if c.shape != (4, 4):
+    c = np.asarray(c)
+    # a complex array would lose its imaginary part to the float copy
+    if c.dtype.kind == "c" or c.shape != (4, 4):
         raise ValueError("Pauli coefficients must be a real 4x4 array")
+    c = np.array(c, dtype=float)
     rho = DensityMatrix(from_pauli_coefficients(c))
     c.setflags(write=False)
     object.__setattr__(rho, "_coefficients", c)

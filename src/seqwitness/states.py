@@ -6,12 +6,16 @@ reference states are psi+ = (|01> + |10>)/sqrt(2) and
 phi+ = (|00> + |11>)/sqrt(2).  ``build`` writes each family's Pauli
 coefficients in closed form, and the state carries them; the construction
 from kets is the tests' oracle.
+
+Loading this module imports only ``math``: ``StateFamily`` is a plain
+``__slots__`` class rather than a dataclass, so ``witness-eval`` runs
+without ``dataclasses`` and ``inspect``.  numpy and ``qcore`` load on the
+first ``build``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy and qcore load on the first state build
@@ -24,7 +28,6 @@ PURE = "pure"
 KINDS = (BELL, WERNER, COLORED, PURE)
 
 
-@dataclass(frozen=True)
 class StateFamily:
     """One of the four initial-state families.
 
@@ -34,23 +37,47 @@ class StateFamily:
     werner     p in (0, 1]: weight of psi+ mixed with white noise
     colored    p in (0, 1]: weight of phi+ mixed with |01>/|10> noise
     pure       theta in (0, pi/4): cos(theta)|01> + sin(theta)|10>
+
+    An immutable value, equal and hashed by ``(kind, param)``.
     """
 
-    kind: str
-    param: float | None = None
+    __slots__ = ("kind", "param")
+    __match_args__ = ("kind", "param")
 
-    def __post_init__(self):
-        if self.kind == BELL:
-            if self.param is not None:
+    def __init__(self, kind: str, param: float | None = None):
+        if kind == BELL:
+            if param is not None:
                 raise ValueError("bell family takes no parameter")
-        elif self.kind in (WERNER, COLORED):
-            if self.param is None or not 0.0 < self.param <= 1.0:
-                raise ValueError(f"{self.kind} parameter must lie in (0, 1]")
-        elif self.kind == PURE:
-            if self.param is None or not 0.0 < self.param < math.pi / 4.0:
+        elif kind in (WERNER, COLORED):
+            if param is None or not 0.0 < param <= 1.0:
+                raise ValueError(f"{kind} parameter must lie in (0, 1]")
+        elif kind == PURE:
+            if param is None or not 0.0 < param < math.pi / 4.0:
                 raise ValueError("pure-state angle must lie in (0, pi/4)")
         else:
-            raise ValueError(f"unknown state family {self.kind!r}")
+            raise ValueError(f"unknown state family {kind!r}")
+        _set_kind(self, kind)
+        _set_param(self, param)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.param) == (other.kind, other.param)
+
+    def __hash__(self):
+        return hash((self.kind, self.param))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(kind={self.kind!r}, param={self.param!r})"
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.param)
 
     @classmethod
     def bell(cls) -> "StateFamily":
@@ -67,6 +94,12 @@ class StateFamily:
     @classmethod
     def pure(cls, theta: float) -> "StateFamily":
         return cls(PURE, theta)
+
+
+# the slot setters, which bypass the refusing __setattr__ on construction
+# about a third faster than object.__setattr__
+_set_kind = StateFamily.kind.__set__
+_set_param = StateFamily.param.__set__
 
 
 def build(family: StateFamily) -> DensityMatrix:

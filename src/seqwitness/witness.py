@@ -29,9 +29,13 @@ class WitnessOperator:
     modulation: tuple[float, float] | None = None
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float)
-        if c.shape != (4, 4):
+        c = np.asarray(self.coefficients)
+        if c.dtype.kind == "c" or c.shape != (4, 4):
             raise ValueError("witness coefficients must be a real 4x4 array")
+        c = np.array(c, dtype=float)
+        # a NaN threshold would read as "stop" and end a chain without an error
+        if not np.isfinite(c).all():
+            raise ValueError("witness coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 

@@ -345,24 +345,41 @@ def test_witness_eval_closed_form_matches_matrix_route():
         assert abs(cli._witness_value(family, xi, lam) - expected) <= 1e-15, (kind, param, xi, lam)
 
 
-def test_compare_and_witness_eval_load_no_numpy():
-    # a fresh interpreter: the package, compare, witness-eval and the pair count
-    # stay numpy-free; the star import and the matrix chain of max-observers
-    # still work after
+_NOT_LOADED = {
+    "compare": ("numpy", "seqwitness.qcore", "seqwitness.witness", "seqwitness.measurement"),
+    "witness-eval": ("numpy", "dataclasses", "inspect", "seqwitness.resource",
+                     "seqwitness.sequential"),
+}
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+@pytest.mark.parametrize("argv", (["compare"],
+                                  ["witness-eval", "--state", "pure", "--theta", "0.3"]),
+                         ids=("compare", "witness-eval"))
+def test_compare_and_witness_eval_load_no_numpy(argv, fmt):
+    # a fresh interpreter per subcommand and format, read through sys.modules
+    # (-X importtime logs no line for a submodule that `from . import x` loads):
+    # each subcommand loads only what it runs, and json only for json output;
+    # the pair count stays numpy-free, and the star import and the matrix
+    # chain of max-observers still work after
     script = """
 import contextlib, io, sys
+absent, argv = sys.argv[1].split(","), sys.argv[2:]
+before = set(sys.modules)
 import seqwitness
 from seqwitness import cli
-argvs = [["compare", "--format", fmt] for fmt in ("json", "csv", "text")]
-argvs += [["witness-eval", "--state", "pure", "--theta", "0.3", "--format", fmt]
-          for fmt in ("json", "csv", "text")]
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.main(argv) == 0, argv
-    assert out.getvalue().strip(), argv
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(argv) == 0, argv
+assert out.getvalue().strip(), argv
+loaded = set(sys.modules) - before
+unwanted = sorted(m for m in loaded if m in absent or m.split(".")[0] in absent)
+assert not unwanted, unwanted[:5]
+if argv[-1] == "json":
+    assert "json" in sys.modules
+else:
+    assert "json" not in loaded, argv
 assert seqwitness.sequential.classify_pair_count(seqwitness.StateFamily.werner(0.7)) == 2
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
-assert not loaded, loaded[:5]
+assert "numpy" not in sys.modules
 namespace = {}
 exec("from seqwitness import *", namespace)
 assert all(name in namespace for name in seqwitness.__all__)
@@ -370,7 +387,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["max-observers", "--alices", "2", "--bobs", "20"]) == 0
 assert '"bobs_detected": 8' in out.getvalue()
 """
-    env = package_env()
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    absent = ",".join(_NOT_LOADED[argv[0]])
+    proc = subprocess.run([sys.executable, "-c", script, absent, *argv, "--format", fmt],
+                          env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

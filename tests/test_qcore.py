@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,21 @@ def test_state_carries_a_read_only_copy_of_its_coefficients():
     assert np.max(np.abs(rho.matrix - oracles.witness_matrix(carried))) < 1e-15
     with pytest.raises(ValueError, match="real 4x4"):
         qcore.state_from_pauli_coefficients(np.eye(2) / 2)
+
+
+def test_complex_coefficients_are_rejected_not_truncated():
+    # the float copy would drop the imaginary part and build another state
+    c = np.zeros((4, 4), dtype=complex)
+    c[0, 0], c[1, 1], c[1, 2] = 0.25, 0.2, 0.1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real 4x4"):
+            qcore.state_from_pauli_coefficients(c)
+        with pytest.raises(ValueError, match="real 4x4"):
+            qcore.state_from_pauli_coefficients(c.tolist())
+    # a complex array with zero imaginary parts is still refused: the dtype decides
+    with pytest.raises(ValueError, match="real 4x4"):
+        qcore.state_from_pauli_coefficients(c.real.astype(complex))
 
 
 def test_matrix_built_state_computes_its_coefficients_once():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,18 +32,45 @@ def test_colored_zz_correlation():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        states.StateFamily.werner(0.0)
-    with pytest.raises(ValueError):
-        states.StateFamily.colored(1.2)
-    with pytest.raises(ValueError):
-        states.StateFamily.pure(0.0)
-    with pytest.raises(ValueError):
-        states.StateFamily.pure(math.pi / 4)
-    with pytest.raises(ValueError):
-        states.StateFamily("bell", 0.5)
-    with pytest.raises(ValueError):
-        states.StateFamily("ghz", None)
+    pure_range = "pure-state angle must lie in (0, pi/4)"
+    cases = [
+        (lambda: states.StateFamily.werner(0.0), "werner parameter must lie in (0, 1]"),
+        (lambda: states.StateFamily("werner"), "werner parameter must lie in (0, 1]"),
+        (lambda: states.StateFamily.colored(1.2), "colored parameter must lie in (0, 1]"),
+        (lambda: states.StateFamily.pure(0.0), pure_range),
+        (lambda: states.StateFamily.pure(math.pi / 4), pure_range),
+        (lambda: states.StateFamily("pure", None), pure_range),
+        (lambda: states.StateFamily("bell", 0.5), "bell family takes no parameter"),
+        (lambda: states.StateFamily("ghz", None), "unknown state family 'ghz'"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_state_family_is_an_immutable_value():
+    w = states.StateFamily("werner", 0.7)
+    assert w == states.StateFamily.werner(0.7)
+    assert hash(w) == hash(states.StateFamily.werner(0.7))
+    assert w != states.StateFamily.werner(0.6)
+    assert w != states.StateFamily.colored(0.7)
+    assert {w: "w"}[states.StateFamily.werner(0.7)] == "w"
+    assert len({states.StateFamily.bell(), states.StateFamily("bell")}) == 1
+    # a value, not a tuple
+    assert states.StateFamily.bell() != ("bell", None)
+    assert not isinstance(w, tuple)
+    assert repr(w) == "StateFamily(kind='werner', param=0.7)"
+    assert repr(states.StateFamily.bell()) == "StateFamily(kind='bell', param=None)"
+    with pytest.raises(AttributeError):
+        w.param = 0.8
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.kind
+    assert (w.kind, w.param) == ("werner", 0.7)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert copy.deepcopy(w) == w
 
 
 def test_concurrence_closed_form_values():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_family_witness_selection():
                           witness.witness_phi_colored().coefficients)
     with pytest.raises(ValueError):
         witness.family_witness("ghz")
+
+
+def test_witness_rejects_complex_and_non_finite_coefficients():
+    c = np.zeros((4, 4), dtype=complex)
+    c[0, 0], c[1, 1], c[1, 2] = 0.25, -0.25, 0.1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before the error
+        with pytest.raises(ValueError, match="real 4x4"):
+            witness.WitnessOperator(c)
+    # a NaN or infinite coefficient would give a NaN threshold, which a chain
+    # reads as "stop"
+    for bad in (math.nan, math.inf, -math.inf):
+        c = np.array(witness.witness_psi_plus().coefficients)
+        c[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            witness.WitnessOperator(c)
 
 
 def test_separability_floor_statistics():
