@@ -63,7 +63,7 @@ def _fmt(value: float, digits: int) -> str:
 def _load_config(path: str) -> dict[str, str]:
     """Flat KEY=VALUE file; blank lines and # comments are skipped."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -41,7 +41,7 @@ class UnsharpObservable:
 
     def __post_init__(self):
         n = np.array(self.direction, dtype=float)
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > VALIDATE_TOL:
+        if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= VALIDATE_TOL:
             raise ValueError("direction must be a unit 3-vector")
         if not 0.0 < self.sharpness <= 1.0:
             raise ValueError(f"sharpness {self.sharpness} outside (0, 1]")
@@ -57,7 +57,7 @@ class PointerTradeoff:
     precision: float
 
     def __post_init__(self):
-        if abs(self.quality**2 + self.precision**2 - 1.0) > VALIDATE_TOL:
+        if not abs(self.quality**2 + self.precision**2 - 1.0) <= VALIDATE_TOL:
             raise ValueError("pointer must satisfy F^2 + G^2 = 1")
 
 

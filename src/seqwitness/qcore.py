@@ -4,10 +4,10 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` entries
 (2x2 or 4x4).  It is the one home of the Pauli product basis, index order
 (I, x, y, z), on whose real coefficients witness modulation and the averaged
 channels act as per-wing scalings and witness expectations as dot products.
-A two-qubit state carries its coefficient array: ``state_from_pauli_coefficients``
-keeps the array a state is built from, and ``pauli_coefficients`` returns it
-without going back through the matrix.  Partial transposition on the second
-qubit and the Wootters concurrence serve as independent oracles elsewhere.
+A state built by ``state_from_pauli_coefficients`` carries the coefficient
+array it is built from, and ``pauli_coefficients`` returns it without going
+back through the matrix.  Partial transposition on the second qubit and
+the Wootters concurrence serve as independent oracles elsewhere.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # _BASIS[i, j] is sigma_i x sigma_j with index order (I, x, y, z).
 _BASIS = np.array([[tensor(a, b) for b in (_I2, _SX, _SY, _SZ)] for a in (_I2, _SX, _SY, _SZ)])
-# Flat forms, row 4i + j: the matrix entries of sigma_i x sigma_j in row-major
-# order, and those of its transpose, so Tr(sigma_i x sigma_j . m) is a dot
-# product with m's entries.
+# Flat form, row 4i + j: the matrix entries of sigma_i x sigma_j in row-major
+# order.  Each basis operator is Hermitian, so Tr(sigma_i x sigma_j . m) is the
+# real part of the row's dot product with m's conjugated entries.
 _BASIS_FLAT = _BASIS.reshape(16, 16)
-_TRACE_FLAT = _BASIS.transpose(0, 1, 3, 2).reshape(16, 16)
 # The shift of the PSD check in DensityMatrix, per dimension.
 _PSD_SHIFT = {n: ORACLE_TOL * np.eye(n) for n in (2, 4)}
-for _m in (_BASIS, _BASIS_FLAT, _TRACE_FLAT, *_PSD_SHIFT.values()):
+for _m in (_BASIS, _BASIS_FLAT, *_PSD_SHIFT.values()):
     _m.setflags(write=False)
 
 
@@ -89,21 +88,16 @@ def pauli_coefficients(m) -> np.ndarray:
     """Real c[i, j] = Tr(sigma_i x sigma_j . m) / 4 of a Hermitian 4x4 operator
     m (a DensityMatrix or a raw array), inverting ``from_pauli_coefficients``.
 
-    A DensityMatrix returns the read-only array it carries, computing and
-    keeping it on the first call when it was built from a matrix.
+    A state built by ``state_from_pauli_coefficients`` returns the read-only
+    array it carries; any other input is computed from its matrix each call.
     """
-    carried = isinstance(m, DensityMatrix)
-    if carried and "_coefficients" in m.__dict__:
-        return m.__dict__["_coefficients"]
+    carried = getattr(m, "_coefficients", None)
+    if carried is not None:
+        return carried
     matrix = as_matrix(m)
-    # a DensityMatrix passed the Hermiticity check on construction
-    if matrix.shape != (4, 4) or not (carried or is_hermitian(matrix)):
+    if matrix.shape != (4, 4) or not is_hermitian(matrix):
         raise ValueError("Pauli coefficients need a Hermitian 4x4 matrix")
-    c = (_TRACE_FLAT @ matrix.reshape(16)).real.reshape(4, 4) / 4.0
-    if carried:
-        c.setflags(write=False)
-        object.__setattr__(m, "_coefficients", c)
-    return c
+    return (_BASIS_FLAT @ matrix.reshape(16).conj()).real.reshape(4, 4) / 4.0
 
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
@@ -195,9 +189,8 @@ class DensityMatrix:
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
     so every state produced by a channel in this package is certified.  A
-    two-qubit state also carries its Pauli coefficient array, read-only: the
-    one ``state_from_pauli_coefficients`` built it from, or the one the first
-    ``pauli_coefficients`` call computes from the matrix.
+    two-qubit state built by ``state_from_pauli_coefficients`` also carries
+    the read-only Pauli coefficient array it was built from.
     """
 
     matrix: np.ndarray = field(repr=False)

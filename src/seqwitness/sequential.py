@@ -212,6 +212,8 @@ def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = 
     disturbing the state as little as the detection constraint allows, and
     the chain stops at the first stage whose threshold reaches 1.
     """
+    if max_stages is not None and max_stages < 1:
+        raise ValueError("max_stages must be at least 1")
     return _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
 
 
@@ -227,6 +229,8 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
     """
     if alices < 1:
         raise ValueError("need at least one observer on the first wing")
+    if max_bobs is not None and max_bobs < 1:
+        raise ValueError("max_bobs must be at least 1")
     policy = policy or EpsilonPolicy.asymmetric_default()
     return _run_chain(family, alices - 1, max_bobs, policy.sharpness)
 

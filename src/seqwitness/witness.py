@@ -1,10 +1,10 @@
 """Entanglement witness operators in the two-qubit Pauli basis.
 
-A witness is stored as a real 4x4 coefficient array ``c[i, j]`` on the
-basis sigma_i x sigma_j with index order (I, x, y, z), and materialized to
-a 4x4 matrix on demand.  Sharpness modulation is then just a coefficient
-scaling: every Pauli factor on the first wing picks up ``xi`` and every
-Pauli factor on the second wing picks up ``lam``.
+A witness is stored only as its real 4x4 coefficient array ``c[i, j]`` on
+the basis sigma_i x sigma_j, index order (I, x, y, z), of which
+``qcore.from_pauli_coefficients`` builds the matrix.  Sharpness modulation
+is then just a coefficient scaling: every Pauli factor on the first wing
+picks up ``xi`` and every Pauli factor on the second wing picks up ``lam``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
-from .qcore import coefficient_expectation, eigen_hermitian, from_pauli_coefficients
-from .qcore import partial_transpose_b, pauli, pauli_coefficients, scale_wings
+from .qcore import coefficient_expectation, eigen_hermitian, partial_transpose_b
+from .qcore import pauli, pauli_coefficients, scale_wings
 
 # A partial transpose eigenvalue above this is not treated as negative.
 _NEGATIVITY_TOL = 1e-10
@@ -38,15 +38,6 @@ class WitnessOperator:
             raise ValueError("witness coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-
-    def matrix(self) -> np.ndarray:
-        """The 4x4 Hermitian operator, built on first use and kept read-only."""
-        m = self.__dict__.get("_matrix")
-        if m is None:
-            m = from_pauli_coefficients(self.coefficients)
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return m
 
     def identity_weight(self) -> float:
         """Coefficient of the I x I term (the sharpness-independent part)."""
@@ -86,8 +77,8 @@ _FAMILY_WITNESSES = {states.BELL: _PSI_PLUS, states.WERNER: _PSI_PLUS,
 
 
 def family_witness(kind: str) -> WitnessOperator:
-    """The witness each state family is detected with; one shared instance
-    per witness, so its matrix is built once."""
+    """The witness each state family is detected with: one validated
+    instance per witness, shared by every chain."""
     try:
         return _FAMILY_WITNESSES[kind]
     except (KeyError, TypeError):

@@ -268,6 +268,15 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert out.startswith("bobs_detected: 5")
 
 
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    # Notepad and PowerShell 5 Out-File start UTF-8 files with a BOM
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("alices=2\nformat=text\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    _, out = run(capsys, "max-observers", "--config", str(cfg))
+    assert out == run(capsys, "max-observers", "--alices", "2", "--format", "text")[1]
+
+
 @pytest.mark.parametrize("line", ["mystery=1", "paper_rounding=ture", "table=9",
                                   "state=foo", "format=xml", "digits=99", "seed=-1",
                                   "xi=0", "config=x", "alices=0", "bobs=0",

@@ -27,6 +27,16 @@ def test_observable_validation():
         ms.UnsharpObservable(ms.Z_AXIS, 1.2)
 
 
+def test_nan_direction_and_pointer_are_rejected():
+    # NaN fails every comparison, so a check written as "deviation > tol"
+    # would let it through and every effect would come out NaN
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        ms.UnsharpObservable(np.array([math.nan, 0.0, 0.0]), 0.5)
+    for quality, precision in ((math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="F\\^2"):
+            ms.PointerTradeoff(quality, precision)
+
+
 def test_sharp_effect_is_projector():
     obs = ms.UnsharpObservable(ms.Z_AXIS, 1.0)
     assert np.allclose(ms.effect(obs, +1), np.diag([1.0, 0.0]))

@@ -87,6 +87,11 @@ def test_pauli_coefficients_round_trip_on_random_hermitian_matrices():
         assert c.dtype == float
         assert np.max(np.abs(qcore.from_pauli_coefficients(c) - m)) < 1e-14
         assert np.max(np.abs(oracles.witness_matrix(c) - m)) < 1e-14
+    # a state built from a matrix carries no array; it is computed, not kept
+    rho = qcore.DensityMatrix(oracles.random_density_matrix(rng, 4))
+    c = qcore.pauli_coefficients(rho)
+    assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
+    assert "_coefficients" not in rho.__dict__
 
 
 def test_pauli_coefficients_reject_non_hermitian_and_wrong_shape():
@@ -125,18 +130,6 @@ def test_complex_coefficients_are_rejected_not_truncated():
     # a complex array with zero imaginary parts is still refused: the dtype decides
     with pytest.raises(ValueError, match="real 4x4"):
         qcore.state_from_pauli_coefficients(c.real.astype(complex))
-
-
-def test_matrix_built_state_computes_its_coefficients_once():
-    rng = np.random.default_rng(5)
-    rho = qcore.DensityMatrix(oracles.random_density_matrix(rng, 4))
-    first = qcore.pauli_coefficients(rho)
-    assert qcore.pauli_coefficients(rho) is first
-    assert not first.flags.writeable
-    assert np.max(np.abs(first - oracles.pauli_coefficients(rho.matrix))) < 1e-15
-    # a raw array gets a fresh, writable array each call
-    raw = qcore.pauli_coefficients(rho.matrix)
-    assert raw is not first and raw.flags.writeable
 
 
 def test_coefficient_expectation_matches_trace_oracle():

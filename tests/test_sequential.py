@@ -230,6 +230,10 @@ def test_greedy_symmetric_max_stages_cap():
     report = seq.greedy_symmetric(BELL, max_stages=2)
     assert report.detected_stages == 2
     assert len(report.thresholds) == len(report.states) == 2
+    # a cap below 1 would give an empty report, read as "detects nothing"
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_stages"):
+            seq.greedy_symmetric(BELL, max_stages=cap)
 
 
 def test_greedy_symmetric_infeasible_stop_records_one_more_threshold():
@@ -280,6 +284,9 @@ def test_greedy_asymmetric_thresholds_increase():
 def test_greedy_asymmetric_max_bobs_cap():
     report = seq.greedy_asymmetric(3, BELL, max_bobs=1)
     assert report.detected_stages == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_bobs"):
+            seq.greedy_asymmetric(2, BELL, max_bobs=cap)
 
 
 def test_classify_pair_counts():

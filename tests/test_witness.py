@@ -35,13 +35,19 @@ def test_colored_witness_expectations():
 
 
 def test_witness_matrices_are_hermitian():
-    for w in (witness.witness_psi_plus(), witness.witness_phi_colored()):
-        assert is_hermitian(w.matrix())
+    rng = np.random.default_rng(5)
+    cases = [witness.witness_psi_plus(), witness.witness_phi_colored(),
+             witness.modulate(witness.witness_phi_colored(), 0.3, 0.9)]
+    cases += [witness.WitnessOperator(rng.normal(size=(4, 4))) for _ in range(50)]
+    for w in cases:
+        m = qcore.from_pauli_coefficients(w.coefficients)
+        assert is_hermitian(m)
+        assert np.max(np.abs(m - oracles.witness_matrix(w.coefficients))) <= 1e-15
 
 
 def test_from_matrix_round_trip():
     w = witness.witness_psi_plus()
-    again = witness.from_matrix(w.matrix())
+    again = witness.from_matrix(qcore.from_pauli_coefficients(w.coefficients))
     assert np.max(np.abs(again.coefficients - w.coefficients)) < 1e-14
 
 
@@ -171,7 +177,7 @@ def test_separability_floor_is_reproducible():
 def test_separability_floor_matches_direct_sampling():
     # same RNG stream, evaluated through full 4x4 matrices instead
     w = witness.modulate(witness.witness_psi_plus(), 0.8, 0.6)
-    wm = w.matrix()
+    wm = qcore.from_pauli_coefficients(w.coefficients)
     rng = np.random.default_rng(7)
     n = 500
     raw_a = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
@@ -182,20 +188,6 @@ def test_separability_floor_matches_direct_sampling():
         oracles.trace_product(wm, np.outer(np.kron(a, b), np.kron(a, b).conj())).real
         for a, b in zip(kets_a, kets_b))
     assert witness.separability_floor(w, n, seed=7) == pytest.approx(direct, abs=1e-12)
-
-
-def test_matrix_is_built_once_read_only_and_matches_term_loop():
-    rng = np.random.default_rng(5)
-    cases = [witness.witness_psi_plus(), witness.witness_phi_colored(),
-             witness.modulate(witness.witness_phi_colored(), 0.3, 0.9)]
-    cases += [witness.WitnessOperator(rng.normal(size=(4, 4))) for _ in range(50)]
-    for w in cases:
-        m = w.matrix()
-        assert np.max(np.abs(m - oracles.witness_matrix(w.coefficients))) <= 1e-15
-        assert w.matrix() is m
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
 
 
 def test_family_witness_returns_shared_instances():
