@@ -92,6 +92,9 @@ def test_pauli_coefficients_round_trip_on_random_hermitian_matrices():
     c = qcore.pauli_coefficients(rho)
     assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
     assert "_coefficients" not in rho.__dict__
+    # a raw array gets its own writable array on every call
+    raw = qcore.pauli_coefficients(rho.matrix)
+    assert raw.flags.writeable and raw is not qcore.pauli_coefficients(rho.matrix)
 
 
 def test_pauli_coefficients_reject_non_hermitian_and_wrong_shape():
