@@ -6,12 +6,18 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` entries
 channels act as per-wing scalings and witness expectations as dot products.
 A state built by ``state_from_pauli_coefficients`` carries the coefficient
 array it is built from, and ``pauli_coefficients`` returns it without going
-back through the matrix.  Partial transposition on the second qubit and
-the Wootters concurrence serve as independent oracles elsewhere.
+back through the matrix.  ``DensityMatrix`` validates a state in scalar
+passes over its entries as Python complex numbers: the trace, entrywise
+Hermiticity and a row-wise Cholesky factorization of m + ORACLE_TOL * I.
+On 2x2 and 4x4 inputs that costs less than the dispatch of the numpy calls
+it replaces, and LAPACK runs only to name the eigenvalue of a rejected
+state.  Partial transposition on the second qubit and the Wootters
+concurrence serve as independent oracles elsewhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,16 +73,48 @@ _BASIS = np.array([[tensor(a, b) for b in (_I2, _SX, _SY, _SZ)] for a in (_I2, _
 # order.  Each basis operator is Hermitian, so Tr(sigma_i x sigma_j . m) is the
 # real part of the row's dot product with m's conjugated entries.
 _BASIS_FLAT = _BASIS.reshape(16, 16)
-# The shift of the PSD check in DensityMatrix, per dimension.
-_PSD_SHIFT = {n: ORACLE_TOL * np.eye(n) for n in (2, 4)}
-for _m in (_BASIS, _BASIS_FLAT, *_PSD_SHIFT.values()):
+for _m in (_BASIS, _BASIS_FLAT):
     _m.setflags(write=False)
 
 
 def is_hermitian(m: np.ndarray, tol: float = VALIDATE_TOL) -> bool:
-    """Entrywise check that ``m`` equals its conjugate transpose."""
+    """Entrywise check that ``m`` equals its conjugate transpose; False for
+    anything that is not a square 2-D matrix."""
     m = np.asarray(m)
-    return bool(abs(m - m.conj().T).max() <= tol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _rows_hermitian(m.tolist(), tol)
+
+
+def _rows_hermitian(rows: list, tol: float) -> bool:
+    """|m[i][j] - conj(m[j][i])| <= tol over the upper triangle (diagonal
+    included) of a square matrix given as nested lists: the entrywise
+    ``abs(m - m.conj().T).max() <= tol``, NaN failing as there."""
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if not abs(row[j] - rows[j][i].conjugate()) <= tol:
+                return False
+    return True
+
+
+def _rows_shifted_cholesky(rows: list, shift: float) -> bool:
+    """Whether the Hermitian matrix given as nested lists plus ``shift`` * I
+    has a Cholesky factor L L^dag, built row by row from the lower triangle
+    and failing on the first pivot that is not > 0 (NaN included)."""
+    factor: list[list] = []
+    for i, row in enumerate(rows):
+        li = []
+        for j, lj in enumerate(factor):
+            s = row[j]
+            for k in range(j):
+                s -= li[k] * lj[k].conjugate()
+            li.append(s / lj[j])
+        pivot = row[i].real + shift
+        for x in li:
+            pivot -= x.real * x.real + x.imag * x.imag
+        if not pivot > 0.0:
+            return False
+        li.append(math.sqrt(pivot))
+        factor.append(li)
+    return True
 
 
 def as_matrix(rho) -> np.ndarray:
@@ -188,9 +226,10 @@ class DensityMatrix:
     """A validated one- or two-qubit state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
-    so every state produced by a channel in this package is certified.  A
-    two-qubit state built by ``state_from_pauli_coefficients`` also carries
-    the read-only Pauli coefficient array it was built from.
+    on one nested-list copy of the entries, so every state produced by a
+    channel in this package is certified.  A two-qubit state built by
+    ``state_from_pauli_coefficients`` also carries the read-only Pauli
+    coefficient array it was built from.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -199,15 +238,15 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError("density matrix must be 2x2 or 4x4")
-        if abs(m.trace() - 1.0) > VALIDATE_TOL:
-            _reject(m, f"trace {m.trace():.3g} differs from 1")
-        if not is_hermitian(m):
+        rows = m.tolist()
+        trace = sum([row[i] for i, row in enumerate(rows)])
+        if abs(trace - 1.0) > VALIDATE_TOL:
+            _reject(m, f"trace {trace:.3g} differs from 1")
+        if not _rows_hermitian(rows, VALIDATE_TOL):
             _reject(m, "density matrix must be Hermitian")
         # m + ORACLE_TOL * I has a Cholesky factor iff no eigenvalue is below
-        # -ORACLE_TOL, and a first Cholesky call pages in less than an eigensolve
-        try:
-            np.linalg.cholesky(m + _PSD_SHIFT[m.shape[0]])
-        except np.linalg.LinAlgError:
+        # -ORACLE_TOL; only a failure pays for the eigensolve that names it
+        if not _rows_shifted_cholesky(rows, ORACLE_TOL):
             _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

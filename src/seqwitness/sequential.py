@@ -243,6 +243,8 @@ def run_symmetric_schedule(family: states.StateFamily,
     recorded for every stage, including those whose threshold reaches 1, so
     the caller can evaluate stage-wise witness expectations.
     """
+    if not lambdas:
+        raise ValueError("schedule must have at least one stage")
     SharpnessSchedule(tuple((lam, lam) for lam in lambdas))  # checks entries before any channel
     return _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
 

@@ -94,6 +94,20 @@ def eigvals(h):
     return np.linalg.eigvalsh(h)
 
 
+def density_matrix_failure(m, validate_tol=1e-12, oracle_tol=1e-10):
+    """The first check a candidate state fails, by whole-array numpy: "trace",
+    "Hermitian" or "negative eigenvalue" (eigvalsh reads the lower triangle),
+    or None when it passes all three."""
+    m = np.asarray(m, dtype=complex)
+    if abs(np.trace(m) - 1.0) > validate_tol:
+        return "trace"
+    if abs(m - m.conj().T).max() > validate_tol:
+        return "Hermitian"
+    if np.linalg.eigvalsh(m)[0] < -oracle_tol:
+        return "negative eigenvalue"
+    return None
+
+
 def trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 

@@ -309,6 +309,65 @@ def test_density_matrix_negative_eigenvalue_threshold():
                 qcore.DensityMatrix(m)
 
 
+# A drawn defect or lowest eigenvalue lies 1e-12 to 1e-9 beyond or within its
+# tolerance (log-uniform), never closer to it, since the scalar checks and the
+# numpy oracle may round differently there.
+_DISTANCE = st.floats(-12.0, -9.0).map(lambda e: 10.0 ** e)
+_FAILURE_MESSAGE = {"trace": "differs from 1", "Hermitian": "must be Hermitian",
+                    "negative eigenvalue": "negative eigenvalue"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1), _DISTANCE, st.booleans(),
+       st.sampled_from([None, "trace", "Hermitian", "imaginary diagonal"]),
+       _DISTANCE, st.sampled_from([-1.0, 1.0]))
+def test_density_matrix_accepts_exactly_what_the_numpy_oracle_accepts(
+        dim, seed, distance, psd, flaw, excess, sign):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lowest = -qcore.ORACLE_TOL + (distance if psd else -distance)
+    defect = qcore.VALIDATE_TOL + excess
+    trace = 1.0 + sign * defect if flaw == "trace" else 1.0
+    rest = rng.uniform(0.5, 1.5, size=dim - 1)
+    spectrum = np.concatenate(([lowest], rest * (trace - lowest) / rest.sum()))
+    m = u @ np.diag(spectrum.astype(complex)) @ u.conj().T
+    m = (m + m.conj().T) / 2  # bitwise Hermitian
+    if flaw == "Hermitian":
+        m[0, 1] += 1j * sign * defect  # |m01 - conj(m10)| is the defect
+    elif flaw == "imaginary diagonal":  # |m00 - conj(m00)| is the defect, the trace stays real
+        m[0, 0] += 0.5j * sign * defect
+        m[1, 1] -= 0.5j * sign * defect
+    failure = oracles.density_matrix_failure(m)
+    if failure is None:
+        assert np.array_equal(qcore.DensityMatrix(m).matrix, m)
+    else:
+        with pytest.raises(ValueError, match=_FAILURE_MESSAGE[failure]):
+            qcore.DensityMatrix(m)
+
+
+def test_density_matrix_trace_and_hermiticity_tolerances():
+    # half the tolerance passes, twice it fails, on either check
+    for defect, accepted in ((0.5 * qcore.VALIDATE_TOL, True), (2 * qcore.VALIDATE_TOL, False)):
+        off_trace = np.diag([0.5 + defect, 0.5]).astype(complex)
+        skewed = np.array([[0.5, 0.1 + 1j * defect], [0.1, 0.5]])
+        for m, message in ((off_trace, "differs from 1"), (skewed, "must be Hermitian")):
+            assert (oracles.density_matrix_failure(m) is None) == accepted
+            if accepted:
+                qcore.DensityMatrix(m)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    qcore.DensityMatrix(m)
+
+
+def test_is_hermitian_is_false_for_anything_but_a_square_matrix():
+    assert not qcore.is_hermitian(np.array([1.0, 2.0]))
+    assert not qcore.is_hermitian(np.zeros((2, 3)))
+    assert not qcore.is_hermitian(np.float64(1.0))
+    assert qcore.is_hermitian([[1.0, 2.0 - 1j], [2.0 + 1j, 0.0]])
+    assert not qcore.is_hermitian([[1.0, 2.0 + 1j], [2.0 + 1j, 0.0]])
+    assert not qcore.is_hermitian(np.diag([np.nan, 1.0]))
+
+
 def test_density_matrix_is_frozen():
     dm = qcore.DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):

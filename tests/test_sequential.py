@@ -216,6 +216,7 @@ def test_greedy_symmetric_werner_counts():
     report = seq.greedy_symmetric(states.StateFamily.werner(0.3))
     assert report.detected_stages == 0
     assert report.thresholds[0] > 1.0
+    assert report.schedule == seq.SharpnessSchedule(())  # an empty schedule stays valid
 
 
 def test_greedy_symmetric_count_stable_over_policy_range():
@@ -426,3 +427,31 @@ def test_chain_states_carry_read_only_coefficients_of_their_matrix(family, chain
         with pytest.raises(ValueError):
             c[0, 0] = 0.0
         assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
+
+
+def test_run_symmetric_schedule_rejects_an_empty_schedule_before_any_channel(monkeypatch):
+    def no_build(family):
+        raise AssertionError("states.build ran for an empty schedule")
+
+    monkeypatch.setattr(states, "build", no_build)
+    with pytest.raises(ValueError, match="schedule must have at least one stage"):
+        seq.run_symmetric_schedule(BELL, ())
+
+
+@pytest.mark.parametrize("family", [BELL, states.StateFamily.werner(0.9),
+                                    states.StateFamily.colored(0.95), states.StateFamily.pure(0.6)])
+def test_greedy_chains_call_no_numpy_linalg_function(monkeypatch, family):
+    # every chain state is validated by the scalar checks in DensityMatrix;
+    # LAPACK runs only when a check fails and its message names the eigenvalue
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError" and callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for rounding in (False, True):
+        sym = seq.greedy_symmetric(family, seq.EpsilonPolicy(paper_rounding=rounding))
+        asym = seq.greedy_asymmetric(2, family, seq.EpsilonPolicy.asymmetric_default(rounding))
+        assert sym.states and asym.states
+    with pytest.raises(AssertionError, match="numpy.linalg"):
+        np.linalg.cholesky(np.eye(2))
