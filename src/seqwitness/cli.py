@@ -8,8 +8,9 @@ Identical flags and seed produce byte-identical output.
 
 Each subcommand imports only what it runs, and ``json`` only under
 ``--format json``: ``witness-eval`` needs just ``states``; ``compare`` adds
-``resource`` (which loads ``sequential`` and ``dataclasses``, not numpy);
-``max-observers`` adds ``sequential`` and, through its matrix chain, numpy.
+``resource`` (which loads ``sequential`` and ``dataclasses``); and
+``max-observers`` adds ``sequential``, whose chains run on the correlation
+strength g.  No subcommand loads numpy or the matrix layers.
 """
 
 from __future__ import annotations
@@ -217,7 +218,9 @@ def _cmd_max_observers(parser, args) -> int:
     policy = sequential.EpsilonPolicy(first_stage_slack=args.epsilon1,
                                       later_stage_slack=args.epsilon,
                                       paper_rounding=args.paper_rounding)
-    report = sequential.greedy_asymmetric(args.alices, family, policy, max_bobs=args.bobs)
+    # greedy_asymmetric's loop without its matrix states, which are not printed
+    report = sequential._run_chain(family, args.alices - 1, args.bobs, policy.sharpness,
+                                   carry_states=False)
     d = args.digits
     payload = {
         "scenario": {"alices": args.alices, "bobs": args.bobs,
@@ -348,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         "witness-eval": _cmd_witness_eval,
     }
     try:
-        return handlers[args.command](parser, args)
+        # a handler's usage errors print the subcommand's usage line
+        return handlers[args.command](subparsers.choices[args.command], args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,14 +4,19 @@ Each observer pair measures one of three orthogonal spin directions with
 equal probability, so the state handed to the next pair is the setting- and
 outcome-averaged Lueders map.  It scales every Pauli coefficient on each
 measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3 (``qcore.scale_wings``,
-as in witness modulation); the Kraus sum is the tests' oracle.  Every state in
-a chain carries its Pauli coefficient array, so a channel scales it without a
-trip through the matrix and a threshold is a dot product with the witness's
-coefficients.  A stage "detects" when the modulated witness expectation on
-its incoming state is negative, which happens exactly when the stage's sharpness product exceeds a
-threshold; the greedy procedures saturate each stage just above its
-threshold to disturb the state as little as possible and count how many
-stages stay below product 1.
+as in witness modulation); the Kraus sum is the tests' oracle.
+
+The family witnesses see a state only through its correlation strength g
+(``states.correlation_strength``): a (xi, lam)-modulated witness has
+expectation (1 - xi lam g) / 4, so a stage "detects" exactly when its
+sharpness product exceeds the threshold 1/g, and an averaged stage
+multiplies g by s(xi) s(lam).  Every chain decides on g alone.  The
+library chains also carry the matrix state through the averaged channels
+and record the state entering each stage; ``violation_threshold`` is the
+matrix route to the same threshold, which the tests compare against.  The
+greedy procedures saturate each stage just above its threshold to disturb
+the state as little as possible and count how many stages stay below
+product 1.
 """
 
 from __future__ import annotations
@@ -66,11 +71,14 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
 def violation_threshold(w: WitnessOperator, rho) -> float:
     """Minimal sharpness product at which the witness expectation hits zero.
 
-    Detection requires strictly exceeding the returned value.  The same
-    affine root bounds the two-sided product xi lam and the one-sided lam
-    (xi pinned at 1).  Values above 1 are returned as-is and mean detection
-    is impossible.  The expectation Tr(W rho) = 4 sum_ij w[i, j] c[i, j]
-    reads the Pauli coefficients c that a state carries.
+    The matrix route to a stage threshold, for any witness and state; the
+    chains take the family witnesses' closed form 1/g instead, and tests
+    check one against the other.  Detection requires strictly exceeding the
+    returned value.  The same affine root bounds the two-sided product
+    xi lam and the one-sided lam (xi pinned at 1).  Values above 1 are
+    returned as-is and mean detection is impossible.  The expectation
+    Tr(W rho) = 4 sum_ij w[i, j] c[i, j] reads the Pauli coefficients c that
+    a state carries.
     """
     from . import qcore
 
@@ -140,11 +148,12 @@ class SharpnessSchedule:
 class ChainReport:
     """Outcome of a chain run.
 
-    ``thresholds`` holds the raw violation threshold of every stage examined:
-    one per stage, plus a last one of at least 1 when a greedy chain ends at
-    an infeasible stage (none when it ends at its stage cap, nor for a fixed
-    schedule).  ``states`` holds the averaged state entering each recorded
-    stage.  A fixed schedule records every scheduled stage, so its
+    ``thresholds`` holds the raw violation threshold 1/g of every stage
+    examined: one per stage, plus a last one of at least 1 when a greedy
+    chain ends at an infeasible stage (none when it ends at its stage cap,
+    nor for a fixed schedule).  ``states`` holds the averaged matrix state
+    entering each recorded stage; it is carried alongside g and decides
+    nothing.  A fixed schedule records every scheduled stage, so its
     ``detected_stages`` is the schedule's length, detecting or not.
     """
 
@@ -170,35 +179,43 @@ def _grid_ceil_sqrt(x: float) -> float:
 
 
 def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
-               max_stages: int | None, sharpness) -> ChainReport:
+               max_stages: int | None, sharpness, carry_states: bool = True) -> ChainReport:
     """The stage loop behind every chain.
 
     ``two_sided_stages`` limits how many leading stages measure on both
     wings; ``None`` means every stage does (the symmetric scenario).  Once
     the limit is reached the remaining wing-one observer is projective and
     stages modulate the witness on the second wing only.  Each stage
-    records its violation threshold and then takes the sharpness
+    records its violation threshold 1/g and then takes the sharpness
     ``sharpness(threshold, stage, two_sided)``; ``None`` ends the chain.
-    """
-    from . import witness
+    The stage multiplies g by s(lam)^2 (two-sided) or s(lam) (one-sided).
 
-    w = witness.family_witness(family.kind)
-    rho = states.build(family)
+    With ``carry_states`` the loop also evolves the matrix state through the
+    averaged channels, recording the state entering each stage; it decides
+    nothing.  Without it (the CLI, which prints no state) numpy never loads
+    and ``ChainReport.states`` is empty.
+    """
+    g = states.correlation_strength(family)
+    rho = states.build(family) if carry_states else None
     stages: list[tuple[float, float]] = []
     thresholds: list[float] = []
     incoming: list[DensityMatrix] = []
     while max_stages is None or len(stages) < max_stages:
         stage = len(stages) + 1
         two_sided = two_sided_stages is None or stage <= two_sided_stages
-        t = violation_threshold(w, rho)
+        # the cut of violation_threshold: slope -g/4 >= -1e-15
+        t = 1.0 / g if g > 4e-15 else math.inf
         thresholds.append(t)
         s = sharpness(t, stage, two_sided)
         if s is None:
             break
         stages.append((s if two_sided else 1.0, s))
-        incoming.append(rho)
-        if len(stages) != max_stages:  # no channel after the last stage
-            rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
+        shrink = average_shrink(s)
+        g *= shrink * shrink if two_sided else shrink
+        if carry_states:
+            incoming.append(rho)
+            if len(stages) != max_stages:  # no channel after the last stage
+                rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
     return ChainReport(family=family, detected_stages=len(stages),
                        schedule=SharpnessSchedule(tuple(stages)),
                        thresholds=tuple(thresholds), states=tuple(incoming))

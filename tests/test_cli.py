@@ -220,8 +220,27 @@ def test_non_finite_input_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "error:" in err
+    assert err.startswith(f"usage: seqwitness {argv[0]} ")
+    assert f"\nseqwitness {argv[0]}: error: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness-eval", "--state", "werner", "--p", "inf"],
+    ["witness-eval", "--state", "werner"],
+    ["witness-eval", "--state", "bell", "--theta", "0.3"],
+    ["max-observers", "--state", "colored", "--p", "0"],
+    ["max-observers", "--state", "pure"],
+])
+def test_family_errors_print_the_subcommand_usage(argv, capsys):
+    # family errors are raised after parsing, through the subcommand's parser
+    # like every other argument error, not the top-level one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: seqwitness {argv[0]} [-h]")
+    assert f"\nseqwitness {argv[0]}: error: " in err
 
 
 def test_digits_flag_controls_precision(capsys):
@@ -355,6 +374,8 @@ def test_witness_eval_closed_form_matches_matrix_route():
 
 
 _NOT_LOADED = {
+    "max-observers": ("numpy", "seqwitness.qcore", "seqwitness.witness",
+                      "seqwitness.measurement"),
     "compare": ("numpy", "seqwitness.qcore", "seqwitness.witness", "seqwitness.measurement"),
     "witness-eval": ("numpy", "dataclasses", "inspect", "seqwitness.resource",
                      "seqwitness.sequential"),
@@ -362,15 +383,17 @@ _NOT_LOADED = {
 
 
 @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
-@pytest.mark.parametrize("argv", (["compare"],
+@pytest.mark.parametrize("argv", (["max-observers", "--alices", "2", "--state", "werner",
+                                   "--p", "0.9", "--paper-rounding"],
+                                  ["compare"],
                                   ["witness-eval", "--state", "pure", "--theta", "0.3"]),
-                         ids=("compare", "witness-eval"))
-def test_compare_and_witness_eval_load_no_numpy(argv, fmt):
+                         ids=("max-observers", "compare", "witness-eval"))
+def test_subcommands_load_no_numpy(argv, fmt):
     # a fresh interpreter per subcommand and format, read through sys.modules
     # (-X importtime logs no line for a submodule that `from . import x` loads):
     # each subcommand loads only what it runs, and json only for json output;
-    # the pair count stays numpy-free, and the star import and the matrix
-    # chain of max-observers still work after
+    # the pair count and a max-observers run after it stay numpy-free, and
+    # the star import still works
     script = """
 import contextlib, io, sys
 absent, argv = sys.argv[1].split(","), sys.argv[2:]
@@ -388,15 +411,47 @@ if argv[-1] == "json":
 else:
     assert "json" not in loaded, argv
 assert seqwitness.sequential.classify_pair_count(seqwitness.StateFamily.werner(0.7)) == 2
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["max-observers", "--alices", "2", "--bobs", "20"]) == 0
+assert '"bobs_detected": 8' in out.getvalue()
 assert "numpy" not in sys.modules
 namespace = {}
 exec("from seqwitness import *", namespace)
 assert all(name in namespace for name in seqwitness.__all__)
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    assert cli.main(["max-observers", "--alices", "2", "--bobs", "20"]) == 0
-assert '"bobs_detected": 8' in out.getvalue()
 """
     absent = ",".join(_NOT_LOADED[argv[0]])
     proc = subprocess.run([sys.executable, "-c", script, absent, *argv, "--format", fmt],
                           env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_max_observers_payload_is_the_library_chain(capsys):
+    # the CLI runs greedy_asymmetric's stage loop without carrying states;
+    # over random flags its payload is the library report, quantized alike
+    from seqwitness import sequential, states
+
+    rng = np.random.default_rng(41)
+    ranges = {"bell": None, "werner": (1e-6, 1.0), "colored": (1e-6, 1.0),
+              "pure": (1e-6, math.pi / 4.0 - 1e-6)}
+    for _ in range(300):
+        kind = str(rng.choice(list(ranges)))
+        param = None if kind == "bell" else float(rng.uniform(*ranges[kind]))
+        alices, bobs, digits = (int(rng.integers(lo, hi)) for lo, hi in ((1, 5), (1, 21), (2, 13)))
+        epsilon1, epsilon = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
+        rounding = bool(rng.integers(2))
+        argv = ["max-observers", "--alices", str(alices), "--bobs", str(bobs), "--state", kind,
+                "--epsilon1", repr(epsilon1), "--epsilon", repr(epsilon), "--digits", str(digits)]
+        if param is not None:
+            argv += ["--theta" if kind == "pure" else "--p", repr(param)]
+        if rounding:
+            argv.append("--paper-rounding")
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        report = sequential.greedy_asymmetric(
+            alices, states.StateFamily(kind, param),
+            sequential.EpsilonPolicy(epsilon1, epsilon, rounding), max_bobs=bobs)
+        assert len(report.states) == report.detected_stages
+        data = json.loads(out)
+        assert data["bobs_detected"] == report.detected_stages, argv
+        assert data["schedule"] == cli._quantize(report.schedule.stages, digits), argv
+        assert data["thresholds"] == cli._quantize(report.thresholds, digits), argv

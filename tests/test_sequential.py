@@ -455,3 +455,54 @@ def test_greedy_chains_call_no_numpy_linalg_function(monkeypatch, family):
         assert sym.states and asym.states
     with pytest.raises(AssertionError, match="numpy.linalg"):
         np.linalg.cholesky(np.eye(2))
+
+
+def _random_chain(rng):
+    """A seeded random greedy chain (family, policy, wing-one count, cap) and
+    its count of leading two-sided stages, None for the symmetric chain."""
+    kind = str(rng.choice(states.KINDS))
+    if kind == states.BELL:
+        family = BELL
+    elif kind == states.PURE:
+        family = states.StateFamily.pure(float(rng.uniform(1e-6, math.pi / 4 - 1e-6)))
+    else:
+        family = states.StateFamily(kind, float(rng.uniform(1e-6, 1.0)))
+    first, later = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
+    policy = seq.EpsilonPolicy(first, later * bool(rng.integers(2)), bool(rng.integers(2)))
+    cap = None if rng.integers(2) else int(rng.integers(1, 21))
+    alices = int(rng.integers(0, 5))  # 0 stands for the symmetric chain
+    if alices == 0:
+        return seq.greedy_symmetric(family, policy, max_stages=cap), None
+    return seq.greedy_asymmetric(alices, family, policy, max_bobs=cap), alices - 1
+
+
+def test_g_thresholds_match_the_matrix_route_on_the_carried_states():
+    # the chains decide on 1/g; violation_threshold reads the carried matrix
+    # state, and the threshold past an infeasible stop reads the state that
+    # the last detecting stage hands on
+    rng = np.random.default_rng(2121)
+    checked = infinite = 0
+    for _ in range(2000):
+        report, two_sided_stages = _random_chain(rng)
+        incoming = list(report.states)
+        if len(report.thresholds) > len(incoming):
+            if incoming:
+                stage = len(incoming)
+                xi, lam = report.schedule.stages[-1]
+                if two_sided_stages is None or stage <= two_sided_stages:
+                    incoming.append(seq.average_two_sided(incoming[-1], xi, lam))
+                else:
+                    incoming.append(seq.average_one_sided(incoming[-1], lam))
+            else:
+                incoming.append(states.build(report.family))
+        assert len(incoming) == len(report.thresholds)
+        w = witness.family_witness(report.family.kind)
+        for t, rho in zip(report.thresholds, incoming):
+            expected = seq.violation_threshold(w, rho)
+            if math.isinf(expected) or math.isinf(t):
+                assert t == expected, (report.family, t, expected)
+                infinite += 1
+            else:
+                assert abs(t - expected) <= 1e-14 * abs(expected), (report.family, t, expected)
+            checked += 1
+    assert checked > 4000 and infinite > 0
