@@ -8,9 +8,11 @@ Identical flags and seed produce byte-identical output.
 
 Each subcommand imports only what it runs, and ``json`` only under
 ``--format json``: ``witness-eval`` needs just ``states``; ``compare`` adds
-``resource`` (which loads ``sequential`` and ``dataclasses``); and
-``max-observers`` adds ``sequential``, whose chains run on the correlation
-strength g.  No subcommand loads numpy or the matrix layers.
+``resource`` (which loads ``sequential``); and ``max-observers`` adds
+``sequential``, whose chains run on the correlation strength g.  No
+subcommand loads numpy, the matrix layers, ``dataclasses`` or ``inspect``:
+the records of ``states``, ``sequential`` and ``resource`` share the
+frozen ``__slots__`` base ``states._Record``.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ def _cmd_max_observers(parser, args) -> int:
 
 
 def _row_dict(row: resource.ComparisonRow) -> dict:
-    return {k: v for k, v in vars(row).items() if v is not None or k == "family"}
+    fields = ((k, getattr(row, k)) for k in row.__slots__)
+    return {k: v for k, v in fields if v is not None or k == "family"}
 
 
 def _table_payload(rows: list[resource.ComparisonRow]) -> dict:

@@ -10,7 +10,6 @@ measurement robustness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import states
 from .sequential import ChainReport, SharpnessSchedule, _symmetric_edge_before, average_shrink
@@ -24,29 +23,41 @@ _COLORED_PARAM_DECIMALS = 2
 # -_BOUNDARY_MARGIN, to within round-off.
 _BOUNDARY_MARGIN = 1e-12
 
+# The field setter of a frozen record, past its refusing __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DetectabilityReport:
+
+class DetectabilityReport(states._Record):
     """Stage-wise witness expectations of a chain and their sum."""
 
-    per_stage: tuple[float, ...]
-    total: float
-    schedule: SharpnessSchedule
+    __slots__ = ("per_stage", "total", "schedule")
+
+    def __init__(self, per_stage: tuple[float, ...], total: float, schedule: SharpnessSchedule):
+        _set(self, "per_stage", per_stage)
+        _set(self, "total", total)
+        _set(self, "schedule", schedule)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One scenario row of the sequential vs non-sequential comparison."""
+class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
+    """One scenario row of the sequential vs non-sequential comparison;
+    ``paper_rounded`` is left out of the repr."""
 
-    family: str
-    detectability: float
-    total_rom: float
-    eta_ebits: float
-    mode: str
-    matching_parameter: float | None = None
-    quadratic_constraint: float | None = None
-    per_pair_floor: float | None = None
-    paper_rounded: dict | None = field(default=None, repr=False)
+    __slots__ = ("family", "detectability", "total_rom", "eta_ebits", "mode",
+                 "matching_parameter", "quadratic_constraint", "per_pair_floor", "paper_rounded")
+
+    def __init__(self, family: str, detectability: float, total_rom: float, eta_ebits: float,
+                 mode: str, matching_parameter: float | None = None,
+                 quadratic_constraint: float | None = None, per_pair_floor: float | None = None,
+                 paper_rounded: dict | None = None):
+        _set(self, "family", family)
+        _set(self, "detectability", detectability)
+        _set(self, "total_rom", total_rom)
+        _set(self, "eta_ebits", eta_ebits)
+        _set(self, "mode", mode)
+        _set(self, "matching_parameter", matching_parameter)
+        _set(self, "quadratic_constraint", quadratic_constraint)
+        _set(self, "per_pair_floor", per_pair_floor)
+        _set(self, "paper_rounded", paper_rounded)
 
 
 def detectability(chain: ChainReport) -> DetectabilityReport:
@@ -123,6 +134,8 @@ def maximize_detectability(family: states.StateFamily,
     ``tests/oracles.py::golden_section_detectability`` keeps a scan and
     golden-section search over lam1 as the independent check.
     """
+    if len(stage_caps) != 3:
+        raise ValueError("stage caps must be three values in (0, 1]")
     if not all(0.0 < cap <= 1.0 for cap in stage_caps):
         raise ValueError("stage caps must lie in (0, 1]")
     g = states.correlation_strength(family)
@@ -211,15 +224,18 @@ def entanglement_budget(family: states.StateFamily, copies: int) -> float:
     return copies * states.concurrence_closed_form(family)
 
 
-@dataclass(frozen=True)
-class NonSequentialSolution:
+class NonSequentialSolution(states._Record):
     """Internals of the equal-entanglement RoM minimization."""
 
-    param: float
-    per_pair_floor: float
-    quadratic_constraint: float
-    lambdas: tuple[float, float, float]
-    rom: float
+    __slots__ = ("param", "per_pair_floor", "quadratic_constraint", "lambdas", "rom")
+
+    def __init__(self, param: float, per_pair_floor: float, quadratic_constraint: float,
+                 lambdas: tuple[float, float, float], rom: float):
+        _set(self, "param", param)
+        _set(self, "per_pair_floor", per_pair_floor)
+        _set(self, "quadratic_constraint", quadratic_constraint)
+        _set(self, "lambdas", lambdas)
+        _set(self, "rom", rom)
 
 
 def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, ...]:

@@ -22,7 +22,6 @@ product 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import states
@@ -33,6 +32,9 @@ if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
 
 # Float guard when snapping a threshold onto the 0.01 grid.
 _GRID_EPS = 1e-9
+
+# The field setter of a frozen record, past its refusing __setattr__.
+_set = object.__setattr__
 
 
 def average_shrink(lam: float) -> float:
@@ -92,8 +94,7 @@ def violation_threshold(w: WitnessOperator, rho) -> float:
     return ident / (ident - full)
 
 
-@dataclass(frozen=True)
-class EpsilonPolicy:
+class EpsilonPolicy(states._Record):
     """Slack added above each stage threshold, plus the rounding mode.
 
     ``sharpness()`` is the one place where a greedy stage's sharpness is
@@ -103,14 +104,16 @@ class EpsilonPolicy:
     fields are ignored.
     """
 
-    first_stage_slack: float = 1e-2
-    later_stage_slack: float = 1e-2
-    paper_rounding: bool = False
+    __slots__ = ("first_stage_slack", "later_stage_slack", "paper_rounding")
 
-    def __post_init__(self):
-        for s in (self.first_stage_slack, self.later_stage_slack):
+    def __init__(self, first_stage_slack: float = 1e-2, later_stage_slack: float = 1e-2,
+                 paper_rounding: bool = False):
+        for s in (first_stage_slack, later_stage_slack):
             if not 0.0 <= s < 0.1:
                 raise ValueError("stage slack must lie in [0, 0.1)")
+        _set(self, "first_stage_slack", first_stage_slack)
+        _set(self, "later_stage_slack", later_stage_slack)
+        _set(self, "paper_rounding", paper_rounding)
 
     @classmethod
     def asymmetric_default(cls, paper_rounding: bool = False) -> "EpsilonPolicy":
@@ -132,36 +135,41 @@ class EpsilonPolicy:
         return math.sqrt(value) if two_sided else value
 
 
-@dataclass(frozen=True)
-class SharpnessSchedule:
+class SharpnessSchedule(states._Record):
     """Ordered per-stage (xi, lam) values of the recorded stages."""
 
-    stages: tuple[tuple[float, float], ...]
+    __slots__ = ("stages",)
 
-    def __post_init__(self):
-        for xi, lam in self.stages:
+    def __init__(self, stages: tuple[tuple[float, float], ...]):
+        for xi, lam in stages:
             if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
                 raise ValueError("schedule entries must lie in (0, 1]")
+        _set(self, "stages", stages)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(states._Record, repr_omit=("states",)):
     """Outcome of a chain run.
 
     ``thresholds`` holds the raw violation threshold 1/g of every stage
     examined: one per stage, plus a last one of at least 1 when a greedy
     chain ends at an infeasible stage (none when it ends at its stage cap,
     nor for a fixed schedule).  ``states`` holds the averaged matrix state
-    entering each recorded stage; it is carried alongside g and decides
-    nothing.  A fixed schedule records every scheduled stage, so its
-    ``detected_stages`` is the schedule's length, detecting or not.
+    entering each recorded stage; it is carried alongside g, decides
+    nothing and is left out of the repr.  A fixed schedule records every
+    scheduled stage, so its ``detected_stages`` is the schedule's length,
+    detecting or not.
     """
 
-    family: states.StateFamily
-    detected_stages: int
-    schedule: SharpnessSchedule
-    thresholds: tuple[float, ...]
-    states: tuple[DensityMatrix, ...] = field(repr=False)
+    __slots__ = ("family", "detected_stages", "schedule", "thresholds", "states")
+
+    def __init__(self, family: states.StateFamily, detected_stages: int,
+                 schedule: SharpnessSchedule, thresholds: tuple[float, ...],
+                 states: tuple[DensityMatrix, ...]):
+        _set(self, "family", family)
+        _set(self, "detected_stages", detected_stages)
+        _set(self, "schedule", schedule)
+        _set(self, "thresholds", thresholds)
+        _set(self, "states", states)
 
 
 def _grid_ceil(x: float) -> float:

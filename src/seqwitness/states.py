@@ -7,10 +7,11 @@ phi+ = (|00> + |11>)/sqrt(2).  ``build`` writes each family's Pauli
 coefficients in closed form, and the state carries them; the construction
 from kets is the tests' oracle.
 
-Loading this module imports only ``math``: ``StateFamily`` is a plain
-``__slots__`` class rather than a dataclass, so ``witness-eval`` runs
-without ``dataclasses`` and ``inspect``.  numpy and ``qcore`` load on the
-first ``build``.
+Loading this module imports only ``math``.  ``_Record`` is the frozen
+``__slots__`` value base of ``StateFamily`` and of the records of
+``sequential`` and ``resource``, in place of dataclasses, so no CLI
+subcommand loads ``dataclasses`` or ``inspect``.  numpy and ``qcore`` load
+on the first ``build``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,51 @@ PURE = "pure"
 KINDS = (BELL, WERNER, COLORED, PURE)
 
 
-class StateFamily:
+class _Record:
+    """Base of the immutable records of the stdlib layers.
+
+    A subclass's ``__slots__`` are its fields, in the order of its
+    ``__init__`` parameters; that ``__init__`` sets each field past the
+    refusing ``__setattr__`` (``object.__setattr__`` or the slot's
+    ``__set__``).  The
+    base gives equality and hashing by the field values, pickling by
+    positional reconstruction, ``__match_args__``, and the dataclass repr
+    without the fields named by the class keyword ``repr_omit``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, repr_omit=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+        cls._repr_fields = tuple(name for name in cls.__slots__ if name not in repr_omit)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class StateFamily(_Record):
     """One of the four initial-state families.
 
     kind       parameter
@@ -42,7 +87,6 @@ class StateFamily:
     """
 
     __slots__ = ("kind", "param")
-    __match_args__ = ("kind", "param")
 
     def __init__(self, kind: str, param: float | None = None):
         if kind == BELL:
@@ -58,26 +102,6 @@ class StateFamily:
             raise ValueError(f"unknown state family {kind!r}")
         _set_kind(self, kind)
         _set_param(self, param)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.param) == (other.kind, other.param)
-
-    def __hash__(self):
-        return hash((self.kind, self.param))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(kind={self.kind!r}, param={self.param!r})"
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.param)
 
     @classmethod
     def bell(cls) -> "StateFamily":

@@ -374,9 +374,10 @@ def test_witness_eval_closed_form_matches_matrix_route():
 
 
 _NOT_LOADED = {
-    "max-observers": ("numpy", "seqwitness.qcore", "seqwitness.witness",
-                      "seqwitness.measurement"),
-    "compare": ("numpy", "seqwitness.qcore", "seqwitness.witness", "seqwitness.measurement"),
+    "max-observers": ("numpy", "dataclasses", "inspect", "seqwitness.qcore",
+                      "seqwitness.witness", "seqwitness.measurement"),
+    "compare": ("numpy", "dataclasses", "inspect", "seqwitness.qcore", "seqwitness.witness",
+                "seqwitness.measurement"),
     "witness-eval": ("numpy", "dataclasses", "inspect", "seqwitness.resource",
                      "seqwitness.sequential"),
 }

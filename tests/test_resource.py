@@ -241,9 +241,11 @@ def test_maximize_detectability_names_states_no_stage_detects(family):
         resource.maximize_detectability(family)
 
 
-@pytest.mark.parametrize("caps", [(1.0, 1.0, 1.5), (0.0, 1.0, 1.0), (1.0, -0.5, 1.0)])
+@pytest.mark.parametrize("caps", [(1.0, 1.0, 1.5), (0.0, 1.0, 1.0), (1.0, -0.5, 1.0),
+                                  (1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
 def test_maximize_detectability_rejects_caps_outside_unit_interval(caps):
-    with pytest.raises(ValueError):
+    # a cap outside (0, 1], or other than three caps
+    with pytest.raises(ValueError, match="stage caps must"):
         resource.maximize_detectability(BELL, caps)
 
 
