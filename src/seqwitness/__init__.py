@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-qcore        dense 2x2/4x4 complex linear algebra and entanglement oracles
-measurement  unsharp spin observables, Lueders updates, measurement robustness
+qcore        2x2/4x4 linear algebra, Pauli coefficients and validated states
+measurement  unsharp spin observables and the square roots of their effects
 witness      witness operators, sharpness modulation, separability checks
 states       the initial state families, their correlation strength g and its
              inverse, and their concurrences (g - 1) / 2

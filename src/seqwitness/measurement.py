@@ -4,7 +4,9 @@ An unsharp observable is a spin direction plus a sharpness parameter
 ``lam`` in (0, 1].  Its two effects are ``lam * P(+-) + (1 - lam)/2 * I``;
 ``lam = 1`` recovers the projective measurement and ``lam -> 0`` the
 identity channel.  The sharpness doubles as the measurement's robustness
-(the minimal noise admixture that trivializes it).
+(the minimal noise admixture that trivializes it).  The acceptance gate
+and the bench tracer use the effects' square roots; the effects themselves
+and the RoM by operator norms are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, VALIDATE_TOL, as_matrix, expectation, operator_norm, pauli
-
-# Outcome probabilities below this are treated as impossible branches
-# rather than round-off.
-PROB_FLOOR = 1e-14
+from .qcore import VALIDATE_TOL, _ArrayValue, pauli
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -32,8 +30,8 @@ def spin_operator(direction: np.ndarray) -> np.ndarray:
     return n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
 
 
-@dataclass(frozen=True)
-class UnsharpObservable:
+@dataclass(frozen=True, eq=False)
+class UnsharpObservable(_ArrayValue):
     """A measurement direction together with its sharpness."""
 
     direction: np.ndarray = field(repr=False)
@@ -67,12 +65,6 @@ def _projector(obs: UnsharpObservable, outcome: int) -> np.ndarray:
     return (np.eye(2, dtype=complex) + outcome * spin_operator(obs.direction)) / 2.0
 
 
-def effect(obs: UnsharpObservable, outcome: int) -> np.ndarray:
-    """The POVM effect for one outcome: lam * P + (1 - lam)/2 * I."""
-    lam = obs.sharpness
-    return lam * _projector(obs, outcome) + (1.0 - lam) / 2.0 * np.eye(2, dtype=complex)
-
-
 def sqrt_effect(obs: UnsharpObservable, outcome: int) -> np.ndarray:
     """Spectral square root of an effect.
 
@@ -82,34 +74,6 @@ def sqrt_effect(obs: UnsharpObservable, outcome: int) -> np.ndarray:
     lam = obs.sharpness
     return (np.sqrt((1.0 + lam) / 2.0) * _projector(obs, outcome)
             + np.sqrt((1.0 - lam) / 2.0) * _projector(obs, -outcome))
-
-
-def unsharp_expectation(obs: UnsharpObservable, rho) -> float:
-    """Expectation of the dichotomic unsharp observable E(+) - E(-)."""
-    return expectation(effect(obs, +1) - effect(obs, -1), rho)
-
-
-def luders_update(obs: UnsharpObservable, outcome: int, rho) -> DensityMatrix:
-    """Post-measurement state sqrt(E) rho sqrt(E) / Tr(rho E).
-
-    Raises ``ValueError`` when the outcome probability is below
-    ``PROB_FLOOR`` (an impossible branch, not round-off).
-    """
-    e = effect(obs, outcome)
-    prob = expectation(e, rho)
-    if prob <= PROB_FLOOR:
-        raise ValueError(f"outcome probability {prob:.3g} is below the floor; "
-                         "impossible measurement branch")
-    root = sqrt_effect(obs, outcome)
-    return DensityMatrix(root @ as_matrix(rho) @ root / prob)
-
-
-def rom(obs: UnsharpObservable) -> float:
-    """Robustness of the measurement: sum of effect operator norms minus 1.
-
-    For this effect family the value equals the sharpness parameter.
-    """
-    return operator_norm(effect(obs, +1)) + operator_norm(effect(obs, -1)) - 1.0
 
 
 def pointer_tradeoff(obs: UnsharpObservable) -> PointerTradeoff:

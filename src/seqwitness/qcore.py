@@ -11,14 +11,14 @@ passes over its entries as Python complex numbers: the trace, entrywise
 Hermiticity and a row-wise Cholesky factorization of m + ORACLE_TOL * I.
 On 2x2 and 4x4 inputs that costs less than the dispatch of the numpy calls
 it replaces, and LAPACK runs only to name the eigenvalue of a rejected
-state.  Partial transposition on the second qubit and the Wootters
-concurrence serve as independent oracles elsewhere.
+state.  The eigensolve and the matrix expectation serve the tests and the
+bench tracer, and the Wootters concurrence the acceptance gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -176,7 +176,8 @@ def expectation(obs: np.ndarray, rho) -> float:
     """Tr(obs . rho) for a Hermitian observable; the result is real.
 
     Raises ``ValueError`` when the observable is not Hermitian or the trace
-    picks up a non-negligible imaginary part.
+    picks up a non-negligible imaginary part.  No library path calls it; it
+    stays for the tests' matrix route and the bench tracer.
     """
     obs = np.asarray(obs, dtype=complex)
     if not is_hermitian(obs):
@@ -187,22 +188,14 @@ def expectation(obs: np.ndarray, rho) -> float:
     return value.real
 
 
-def partial_transpose_b(rho) -> np.ndarray:
-    """Transpose the second-qubit indices of a 4x4 operator."""
-    m = as_matrix(rho)
-    if m.shape != (4, 4):
-        raise ValueError("partial_transpose_b expects a 4x4 matrix")
-    # indices (i, a; j, b) -> (i, b; j, a)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
-
-
 def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the columns of a unitary matrix.  LAPACK reads only one
     triangle, so Hermiticity is checked here, and the decomposition must
-    reconstruct the input.
+    reconstruct the input.  Only ``concurrence_wootters`` calls it; it stays
+    for the tests' matrix route and the bench tracer.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -216,13 +209,26 @@ def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, i.e. the top eigenvalue of sqrt(M^dag M)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+class _ArrayValue:
+    """Equality and hash of the frozen dataclasses that hold numpy arrays,
+    by class and fields: an array by its shape and entries (so 0.0 equals
+    -0.0, as floats do), any other field by ``==``."""
+
+    def _key(self) -> tuple:
+        return tuple([(v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+                      for v in (getattr(self, f.name) for f in fields(self))])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_ArrayValue):
     """A validated one- or two-qubit state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,

@@ -74,13 +74,13 @@ def violation_threshold(w: WitnessOperator, rho) -> float:
     """Minimal sharpness product at which the witness expectation hits zero.
 
     The matrix route to a stage threshold, for any witness and state; the
-    chains take the family witnesses' closed form 1/g instead, and tests
-    check one against the other.  Detection requires strictly exceeding the
-    returned value.  The same affine root bounds the two-sided product
-    xi lam and the one-sided lam (xi pinned at 1).  Values above 1 are
-    returned as-is and mean detection is impossible.  The expectation
-    Tr(W rho) = 4 sum_ij w[i, j] c[i, j] reads the Pauli coefficients c that
-    a state carries.
+    chains take the family witnesses' closed form 1/g instead, so it stays
+    for the tests, which check one against the other, and the bench tracer.
+    Detection requires strictly exceeding the returned value.  The same
+    affine root bounds the two-sided product xi lam and the one-sided lam
+    (xi pinned at 1).  Values above 1 are returned as-is and mean detection
+    is impossible.  The expectation Tr(W rho) = 4 sum_ij w[i, j] c[i, j]
+    reads the Pauli coefficients c that a state carries.
     """
     from . import qcore
 

@@ -5,6 +5,7 @@ the basis sigma_i x sigma_j, index order (I, x, y, z), of which
 ``qcore.from_pauli_coefficients`` builds the matrix.  Sharpness modulation
 is then just a coefficient scaling: every Pauli factor on the first wing
 picks up ``xi`` and every Pauli factor on the second wing picks up ``lam``.
+The tests derive the family witnesses again by partial transposition.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
-from .qcore import coefficient_expectation, eigen_hermitian, partial_transpose_b
-from .qcore import pauli, pauli_coefficients, scale_wings
-
-# A partial transpose eigenvalue above this is not treated as negative.
-_NEGATIVITY_TOL = 1e-10
+from .qcore import _ArrayValue, coefficient_expectation, pauli, scale_wings
 
 
-@dataclass(frozen=True)
-class WitnessOperator:
+@dataclass(frozen=True, eq=False)
+class WitnessOperator(_ArrayValue):
     """Hermitian witness, nonnegative on all separable states."""
 
     coefficients: np.ndarray = field(repr=False)
@@ -42,11 +39,6 @@ class WitnessOperator:
     def identity_weight(self) -> float:
         """Coefficient of the I x I term (the sharpness-independent part)."""
         return float(self.coefficients[0, 0])
-
-
-def from_matrix(m: np.ndarray) -> WitnessOperator:
-    """Project a Hermitian 4x4 operator onto the Pauli coefficient basis."""
-    return WitnessOperator(pauli_coefficients(m))
 
 
 def witness_psi_plus() -> WitnessOperator:
@@ -83,27 +75,6 @@ def family_witness(kind: str) -> WitnessOperator:
         return _FAMILY_WITNESSES[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown state family {kind!r}") from None
-
-
-def witness_from_state(rho) -> WitnessOperator:
-    """Derive the optimal witness of an NPT state from partial transposition.
-
-    Takes the eigenvector of the single negative eigenvalue of rho^T_B and
-    returns the partially transposed projector onto it.  PPT input has no
-    negative eigenvalue and raises ``ValueError``.
-    """
-    pt = partial_transpose_b(rho)
-    evals, vecs = eigen_hermitian(pt)
-    negative = np.nonzero(evals < -_NEGATIVITY_TOL)[0]
-    if negative.size == 0:
-        raise ValueError("state is PPT; no witness can be derived from partial transposition")
-    if negative.size > 1:
-        raise ValueError("partial transpose has more than one negative eigenvalue")
-    v = vecs[:, negative[0]]
-    w = from_matrix(partial_transpose_b(np.outer(v, v.conj())))
-    if expectation(w, rho) >= 0.0:
-        raise RuntimeError("derived operator does not witness the input state")
-    return w
 
 
 def modulate(w: WitnessOperator, xi: float, lam: float) -> WitnessOperator:

@@ -2,7 +2,8 @@
 
 Each helper recomputes a quantity from first principles (explicit loops,
 numpy.linalg, scalar grid loops) so the package code has a second route to
-be checked against.
+be checked against.  Nothing here imports ``seqwitness``; helpers take
+numpy arrays, numbers, or objects with the fields they read.
 """
 
 import math
@@ -136,6 +137,54 @@ def random_density_matrix(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def effect(direction, lam, outcome):
+    """The unsharp POVM effect lam P(o) + (1 - lam)/2 I along a unit
+    3-vector, P(o) = (I + o n.sigma) / 2."""
+    spin = sum(n * PAULIS[axis] for n, axis in zip(direction, "xyz"))
+    return lam * (I2 + outcome * spin) / 2.0 + (1.0 - lam) / 2.0 * I2
+
+
+def rom(direction, lam):
+    """Robustness of measurement by operator norms: the two effects' largest
+    singular values summed, minus 1 (the sharpness for this family)."""
+    return sum(np.linalg.norm(effect(direction, lam, o), 2) for o in (+1, -1)) - 1.0
+
+
+def partial_transpose(m):
+    """Transpose of the second-qubit indices of a 4x4 operator,
+    (i, a; j, b) -> (i, b; j, a), by index loops."""
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for a in range(2):
+            for j in range(2):
+                for b in range(2):
+                    out[2 * i + b, 2 * j + a] = m[2 * i + a, 2 * j + b]
+    return out
+
+
+# A partial transpose eigenvalue above this is not treated as negative.
+_NEGATIVITY_TOL = 1e-10
+
+
+def witness_from_state(rho):
+    """Pauli coefficients of the optimal witness of an NPT two-qubit state:
+    the partial transpose of the projector onto the eigenvector of the single
+    negative eigenvalue of rho^T_B.  A PPT state, with no negative
+    eigenvalue, raises ValueError."""
+    rho = np.asarray(rho, dtype=complex)
+    evals, vecs = np.linalg.eigh(partial_transpose(rho))
+    negative = np.nonzero(evals < -_NEGATIVITY_TOL)[0]
+    if negative.size == 0:
+        raise ValueError("state is PPT; no witness can be derived from partial transposition")
+    if negative.size > 1:
+        raise ValueError("partial transpose has more than one negative eigenvalue")
+    v = vecs[:, negative[0]]
+    w = partial_transpose(np.outer(v, v.conj()))
+    if trace_product(w, rho).real >= 0.0:
+        raise RuntimeError("derived operator does not witness the input state")
+    return pauli_coefficients(w)
 
 
 def sqrt_effects(lam):
@@ -324,24 +373,6 @@ def golden_section_detectability(strength, caps=(1.0, 1.0, 1.0), margin=1e-12):
     return lam1, stage_two(lam1)[1], cap3
 
 
-def matrix_correlation_strength(family):
-    """Correlation strength of a family through the matrix route:
-    1 - 4 <W> of the family witness on the built state."""
-    from seqwitness import states, witness
-
-    w = witness.family_witness(family.kind)
-    return 1.0 - 4.0 * witness.expectation(w, states.build(family))
-
-
-def zero_slack_pair_count(family):
-    """Symmetric pair count on the matrix route: the greedy chain over built
-    states with every stage saturating its threshold exactly."""
-    from seqwitness import sequential
-
-    report = sequential.greedy_symmetric(family, sequential.EpsilonPolicy(0.0, 0.0))
-    return report.detected_stages
-
-
 def symmetric_edges_mp(count):
     """The first ``count`` zero-slack symmetric band edges in mpmath at the
     caller's working precision: E_1 = 1 and
@@ -424,32 +455,3 @@ def min_rom_lambdas(constraint, floor, copies=3):
         refine(best[:2], half, 21)
         half /= 5.0
     return best
-
-
-def bisect_matching_parameter(kind, schedule, target_detectability):
-    """Family parameter at which one copy per stage, measured with the
-    schedule, sums to the target detectability: a bisection to 1e-10 over
-    full state builds and materialized modulated witnesses.  Returns p for
-    werner/colored and theta for pure."""
-    from seqwitness import states, witness
-
-    if kind not in (states.WERNER, states.COLORED, states.PURE):
-        raise ValueError("matching parameter applies to werner, colored and pure families")
-    w = witness.family_witness(kind)
-    mods = [witness.modulate(w, xi, lam) for xi, lam in schedule.stages]
-
-    def total(param):
-        rho = states.build(states.StateFamily(kind, param))
-        return sum(witness.expectation(m, rho) for m in mods)
-
-    lo, hi = (1e-9, 1.0) if kind != states.PURE else (1e-9, math.pi / 4.0 - 1e-9)
-    f_lo, f_hi = total(lo) - target_detectability, total(hi) - target_detectability
-    if f_lo * f_hi > 0.0:
-        raise ValueError("target detectability is not reachable within the parameter range")
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
-        if (total(mid) - target_detectability) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0

@@ -180,29 +180,6 @@ def test_expectation_rejects_non_hermitian():
         qcore.expectation(m, np.eye(2) / 2)
 
 
-def test_partial_transpose_involution():
-    rng = np.random.default_rng(5)
-    rho = oracles.random_density_matrix(rng, 4)
-    again = qcore.partial_transpose_b(qcore.partial_transpose_b(rho))
-    assert np.array_equal(again, rho)
-
-
-def test_partial_transpose_of_product_states_stays_positive():
-    rng = np.random.default_rng(7)
-    worst = np.inf
-    for _ in range(10_000):
-        rho = oracles.random_product_state(rng)
-        worst = min(worst, oracles.eigvals(qcore.partial_transpose_b(rho))[0])
-    assert worst >= -1e-10
-
-
-def test_partial_transpose_bell_spectrum():
-    psi = oracles.psi_plus_ket()
-    rho = np.outer(psi, psi.conj())
-    evals, _ = qcore.eigen_hermitian(qcore.partial_transpose_b(rho))
-    assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-
 def test_eigen_simple_cases():
     evals, _ = qcore.eigen_hermitian(qcore.pauli("z"))
     assert np.allclose(evals, [-1.0, 1.0])
@@ -222,7 +199,7 @@ def test_eigen_matches_lapack_and_reconstructs():
     # projector's partial transpose
     psi = oracles.psi_plus_ket()
     cases.append(np.eye(4, dtype=complex) / 4)
-    cases.append(qcore.partial_transpose_b(np.outer(psi, psi.conj())))
+    cases.append(oracles.partial_transpose(np.outer(psi, psi.conj())))
     for h in cases:
         evals, vecs = qcore.eigen_hermitian(h)
         assert np.all(np.diff(evals) >= 0.0)
@@ -235,20 +212,6 @@ def test_eigen_matches_lapack_and_reconstructs():
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qcore.eigen_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_operator_norm_values():
-    assert qcore.operator_norm(np.eye(2)) == pytest.approx(1.0)
-    assert qcore.operator_norm(np.zeros((2, 2))) == pytest.approx(0.0)
-    effect = 0.73 * np.diag([1.0, 0.0]) + 0.27 / 2 * np.eye(2)
-    assert qcore.operator_norm(effect) == pytest.approx(0.865, abs=1e-12)
-
-
-def test_operator_norm_general_matrix():
-    rng = np.random.default_rng(17)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert qcore.operator_norm(m) == pytest.approx(
-        np.linalg.svd(m, compute_uv=False)[0], abs=1e-9)
 
 
 def test_concurrence_extremes():

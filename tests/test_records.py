@@ -1,18 +1,24 @@
 """The numpy-free records of ``states``, ``sequential`` and ``resource`` are
 immutable values: keyword and positional construction with fixed defaults,
 equality and hashing by field, a dataclass-style repr, pickling, copying and
-positional pattern matching, and their construction-time checks."""
+positional pattern matching, and their construction-time checks.  The
+numpy-holding dataclasses of the matrix layer, and a chain report that
+carries their states, compare and hash by array entries."""
 
 import copy
 import pickle
 import re
 
+import numpy as np
 import pytest
 
-from seqwitness import resource, sequential, states
+from seqwitness import measurement, qcore, resource, sequential, states, witness
 
 _SCHEDULE = sequential.SharpnessSchedule(stages=((0.9, 0.8), (1.0, 0.5)))
 _SCHEDULE_REPR = "SharpnessSchedule(stages=((0.9, 0.8), (1.0, 0.5)))"
+# A library chain that carries its matrix states
+_CHAIN = sequential.greedy_symmetric(states.StateFamily.bell())
+_CHAIN_FIELDS = {name: getattr(_CHAIN, name) for name in sequential.ChainReport.__slots__}
 
 # (class, keyword arguments, a differing set, defaults of the omitted
 # keywords as (required keywords, expected field values), repr, invalid
@@ -50,6 +56,14 @@ _CASES = {
         None,
         "ChainReport(family=StateFamily(kind='bell', param=None), detected_stages=2, "
         f"schedule={_SCHEDULE_REPR}, thresholds=(0.3333333333333333, 0.5, 1.25))",
+        (),
+    ),
+    "ChainReport with states": (
+        sequential.ChainReport, _CHAIN_FIELDS,
+        {**_CHAIN_FIELDS, "states": _CHAIN.states[:-1]},
+        None,
+        f"ChainReport(family={_CHAIN.family!r}, detected_stages={_CHAIN.detected_stages!r}, "
+        f"schedule={_CHAIN.schedule!r}, thresholds={_CHAIN.thresholds!r})",
         (),
     ),
     "DetectabilityReport": (
@@ -101,7 +115,7 @@ def _hashable(value):
 def test_record_is_an_immutable_value(name):
     cls, kwargs, other_kwargs, defaults, expected_repr, invalid = _CASES[name]
     record = cls(**kwargs)
-    assert type(record).__name__ == name
+    assert type(record).__name__ == name.split()[0]
     fields = tuple(kwargs)
     assert cls.__match_args__ == fields
     assert all(getattr(record, k) == v for k, v in kwargs.items())
@@ -140,3 +154,39 @@ def test_record_is_an_immutable_value(name):
     for bad, message in invalid:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(**{**kwargs, **bad})
+
+
+def test_library_chain_reports_compare_and_hash_by_state_entries():
+    bell = states.StateFamily.bell()
+    first, second = sequential.greedy_symmetric(bell), sequential.greedy_symmetric(bell)
+    assert first.states and first.states[0] is not second.states[0]
+    assert first == second and hash(first) == hash(second)
+    assert first != sequential.greedy_symmetric(states.StateFamily.werner(0.99))
+
+
+def test_matrix_layer_values_compare_and_hash_by_entries():
+    # signed zeros are equal entries, so they must hash alike
+    zero = np.zeros((4, 4))
+    psi_plus = witness.witness_psi_plus()
+    equal = [
+        (witness.WitnessOperator(zero), witness.WitnessOperator(-zero)),
+        (witness.modulate(psi_plus, 0.5, 0.9),
+         witness.WitnessOperator(qcore.scale_wings(psi_plus.coefficients, 0.5, 0.9), (0.5, 0.9))),
+        (states.build(states.StateFamily.werner(0.5)), states.build(states.StateFamily.werner(0.5))),
+        (qcore.DensityMatrix(np.diag([1.0, 0.0])), qcore.DensityMatrix(np.diag([1.0, -0.0]))),
+        (measurement.UnsharpObservable(measurement.Z_AXIS, 0.5),
+         measurement.UnsharpObservable(np.array([-0.0, 0.0, 1.0]), 0.5)),
+    ]
+    for a, b in equal:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+    unequal = [
+        (psi_plus, witness.witness_phi_colored()),
+        (psi_plus, witness.modulate(psi_plus, 1.0, 1.0)),
+        (qcore.DensityMatrix(np.eye(2) / 2), qcore.DensityMatrix(np.eye(4) / 4)),
+        (measurement.UnsharpObservable(measurement.Z_AXIS, 0.5),
+         measurement.UnsharpObservable(measurement.Z_AXIS, 0.6)),
+    ]
+    for a, b in unequal:
+        assert a != b and not a == b
+    assert qcore.DensityMatrix(np.eye(2) / 2).__eq__(psi_plus) is NotImplemented

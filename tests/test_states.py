@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from seqwitness import qcore, states
+from seqwitness import qcore, states, witness
 
 import oracles
 
@@ -107,15 +107,22 @@ def test_werner_twirl_invariance():
         assert np.max(np.abs(u @ rho @ u.conj().T - rho)) < 1e-12
 
 
+def matrix_correlation_strength(family):
+    """Correlation strength of a family through the matrix route:
+    1 - 4 <W> of the family witness on the built state."""
+    w = witness.family_witness(family.kind)
+    return 1.0 - 4.0 * witness.expectation(w, states.build(family))
+
+
 def test_correlation_strength_matches_matrix_route():
     rng = np.random.default_rng(11)
     bell = states.StateFamily.bell()
-    assert abs(states.correlation_strength(bell) - oracles.matrix_correlation_strength(bell)) <= 1e-12
+    assert abs(states.correlation_strength(bell) - matrix_correlation_strength(bell)) <= 1e-12
     for kind, hi in (("werner", 1.0), ("colored", 1.0), ("pure", math.pi / 4.0)):
         for param in rng.uniform(1e-6, hi, size=200):
             family = states.StateFamily(kind, float(param))
             got = states.correlation_strength(family)
-            assert abs(got - oracles.matrix_correlation_strength(family)) <= 1e-12, (kind, param)
+            assert abs(got - matrix_correlation_strength(family)) <= 1e-12, (kind, param)
 
 
 def test_param_for_strength_inverts_correlation_strength():

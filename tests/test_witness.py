@@ -45,31 +45,42 @@ def test_witness_matrices_are_hermitian():
         assert np.max(np.abs(m - oracles.witness_matrix(w.coefficients))) <= 1e-15
 
 
-def test_from_matrix_round_trip():
-    w = witness.witness_psi_plus()
-    again = witness.from_matrix(qcore.from_pauli_coefficients(w.coefficients))
-    assert np.max(np.abs(again.coefficients - w.coefficients)) < 1e-14
+# Each family's entangled range on a 12-point grid; Bell has no parameter.
+_ENTANGLED = {states.BELL: [None], states.WERNER: np.linspace(0.34, 1.0, 12),
+              states.COLORED: np.linspace(0.51, 1.0, 12),
+              states.PURE: np.linspace(0.01, math.pi / 4 - 0.01, 12)}
+
+
+def _pt_derived_error(kind):
+    """Largest coefficient gap between a family's witness and the one that
+    partial transposition derives from each state of its entangled range."""
+    want = witness.family_witness(kind).coefficients
+    worst = 0.0
+    for p in _ENTANGLED[kind]:
+        rho = states.build(states.StateFamily(kind, None if p is None else float(p)))
+        worst = max(worst, np.max(np.abs(oracles.witness_from_state(rho.matrix) - want)))
+    return worst
 
 
 def test_witness_from_state_reproduces_bell_witness():
-    bell = states.build(states.StateFamily.bell())
-    derived = witness.witness_from_state(bell)
-    assert np.max(np.abs(derived.coefficients
-                         - witness.witness_psi_plus().coefficients)) < 1e-10
+    psi_plus = witness.witness_psi_plus()
+    kinds = [k for k, w in witness._FAMILY_WITNESSES.items() if w == psi_plus]
+    assert sorted(kinds) == sorted([states.BELL, states.WERNER, states.PURE])
+    for kind in kinds:
+        assert _pt_derived_error(kind) < 1e-12, kind
 
 
 def test_witness_from_state_reproduces_colored_witness():
-    rho = states.build(states.StateFamily.colored(0.9))
-    derived = witness.witness_from_state(rho)
-    assert np.max(np.abs(derived.coefficients
-                         - witness.witness_phi_colored().coefficients)) < 1e-10
+    colored = witness.witness_phi_colored()
+    assert [k for k, w in witness._FAMILY_WITNESSES.items() if w == colored] == [states.COLORED]
+    assert _pt_derived_error(states.COLORED) < 1e-12
 
 
 def test_witness_from_state_rejects_ppt():
     with pytest.raises(ValueError):
-        witness.witness_from_state(np.eye(4) / 4)
+        oracles.witness_from_state(np.eye(4) / 4)
     with pytest.raises(ValueError):
-        witness.witness_from_state(states.build(states.StateFamily.werner(0.3)))
+        oracles.witness_from_state(states.build(states.StateFamily.werner(0.3)).matrix)
 
 
 def test_modulate_sharp_limit_unchanged():
