@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqwitness import measurement as ms
-from seqwitness.qcore import is_hermitian
+from seqwitness.qcore import expectation, is_hermitian
 
 import oracles
 
@@ -19,12 +19,9 @@ sharpness_values = st.floats(0.01, 1.0)
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        ms.UnsharpObservable(np.array([1.0, 1.0, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        ms.UnsharpObservable(ms.Z_AXIS, 0.0)
-    with pytest.raises(ValueError):
-        ms.UnsharpObservable(ms.Z_AXIS, 1.2)
+    for direction, lam in ((np.array([1.0, 1.0, 0.0]), 0.5), (ms.Z_AXIS, 0.0), (ms.Z_AXIS, 1.2)):
+        with pytest.raises(ValueError):
+            ms.UnsharpObservable(direction, lam)
 
 
 def test_nan_direction_and_pointer_are_rejected():
@@ -67,6 +64,53 @@ def test_sqrt_effect_squares_back():
     for outcome in (+1, -1):
         root = ms.sqrt_effect(obs, outcome)
         assert np.max(np.abs(root @ root - oracles.effect(n, 0.6, outcome))) < 1e-12
+
+
+def _unsharp_expectation(obs, rho):
+    """Tr(rho (E+ - E-)), each effect the square of ``sqrt_effect``."""
+    plus, minus = ms.sqrt_effect(obs, +1), ms.sqrt_effect(obs, -1)
+    return expectation(plus @ plus - minus @ minus, rho)
+
+
+def test_unsharp_expectation_examples():
+    for axis, lam, rho, want in ((ms.Z_AXIS, 0.5, np.diag([1.0, 0.0]), 0.5),
+                                 (ms.X_AXIS, 0.9, np.eye(2) / 2, 0.0),
+                                 (ms.X_AXIS, 0.79, np.full((2, 2), 0.5, dtype=complex), 0.79)):
+        assert _unsharp_expectation(ms.UnsharpObservable(axis, lam), rho) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_vectors, sharpness_values, st.integers(0, 2**32 - 1))
+def test_unsharp_expectation_scales_projective_value(direction, lam, seed):
+    rho = oracles.random_density_matrix(np.random.default_rng(seed), 2)
+    assert _unsharp_expectation(ms.UnsharpObservable(direction, lam), rho) == pytest.approx(
+        lam * expectation(ms.spin_operator(direction), rho), abs=1e-12)
+
+
+# Outcome +1 Lueders updates K rho K / Tr(K rho K), K the effect's square root:
+# (direction, sharpness, input state, expected output, trace-distance bound)
+_RHO_23, _RHO_29 = (oracles.random_density_matrix(np.random.default_rng(s), 2) for s in (23, 29))
+_P_111 = oracles.effect(np.ones(3) / math.sqrt(3.0), 1.0, +1)
+_LUDERS_CASES = {
+    "eigenstate_fixed_point": (ms.Z_AXIS, 1.0, np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), 1e-15),
+    "weak_limit_is_identity": (ms.X_AXIS, 1e-6, _RHO_23, _RHO_23, 1e-6),
+    "mixed_state_example": (ms.Z_AXIS, 0.6, np.eye(2) / 2, np.diag([0.8, 0.2]), 1e-12),
+    "projective_collapse_exact": (np.ones(3) / math.sqrt(3.0), 1.0, _RHO_29, _P_111 @ _RHO_29 @ _P_111
+                                  / oracles.trace_product(_P_111, _RHO_29).real, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", list(_LUDERS_CASES))
+def test_luders_update(case):
+    direction, lam, rho, want, bound = _LUDERS_CASES[case]
+    root = ms.sqrt_effect(ms.UnsharpObservable(direction, lam), +1)
+    out = root @ rho @ root
+    assert oracles.trace_distance(out / np.trace(out).real, want) < bound
+
+
+def test_luders_impossible_branch_is_zero():
+    root = ms.sqrt_effect(ms.UnsharpObservable(ms.Z_AXIS, 1.0), -1)
+    assert not np.any(root @ np.diag([1.0, 0.0]) @ root)
 
 
 @settings(max_examples=100, deadline=None)

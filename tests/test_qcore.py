@@ -180,6 +180,24 @@ def test_expectation_rejects_non_hermitian():
         qcore.expectation(m, np.eye(2) / 2)
 
 
+def test_partial_transpose_involution():
+    rho = oracles.random_density_matrix(np.random.default_rng(5), 4)
+    assert np.array_equal(oracles.partial_transpose(oracles.partial_transpose(rho)), rho)
+
+
+def test_partial_transpose_of_product_states_stays_positive():
+    rng = np.random.default_rng(7)
+    worst = min(oracles.eigvals(oracles.partial_transpose(oracles.random_product_state(rng)))[0]
+                for _ in range(10_000))
+    assert worst >= -1e-10
+
+
+def test_partial_transpose_bell_spectrum():
+    psi = oracles.psi_plus_ket()
+    evals, _ = qcore.eigen_hermitian(oracles.partial_transpose(np.outer(psi, psi.conj())))
+    assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+
+
 def test_eigen_simple_cases():
     evals, _ = qcore.eigen_hermitian(qcore.pauli("z"))
     assert np.allclose(evals, [-1.0, 1.0])

@@ -306,16 +306,10 @@ def _float_edges(count):
     return edges
 
 
-def zero_slack_pair_count(family):
-    """Symmetric pair count on the matrix route: the greedy chain over built
-    states with every stage saturating its threshold exactly."""
-    report = seq.greedy_symmetric(family, seq.EpsilonPolicy(0.0, 0.0))
-    return report.detected_stages
-
-
 def test_pair_count_matches_zero_slack_matrix_chain():
     # a mismatch is forgiven only within 1e-12 relative of a band edge;
-    # draws at 1e-11 on either side of each edge must agree too
+    # draws at 1e-11 on either side of each edge must agree too.  The matrix
+    # route is the greedy chain over built states with zero slack.
     edges = _float_edges(4)
     rng = np.random.default_rng(1313)
     families = [states.StateFamily.werner(float(p)) for p in 1.0 - rng.uniform(0.0, 0.7, 1500)]
@@ -331,7 +325,7 @@ def test_pair_count_matches_zero_slack_matrix_chain():
         count = seq.classify_pair_count(family)
         counts.add(count)
         g = states.correlation_strength(family)
-        if (count != zero_slack_pair_count(family)
+        if (count != seq.greedy_symmetric(family, seq.EpsilonPolicy(0.0, 0.0)).detected_stages
                 and all(abs(g - e) > 1e-12 * e for e in edges)):
             mismatches.append((family, count))
     assert mismatches == []

@@ -55,11 +55,8 @@ def _pt_derived_error(kind):
     """Largest coefficient gap between a family's witness and the one that
     partial transposition derives from each state of its entangled range."""
     want = witness.family_witness(kind).coefficients
-    worst = 0.0
-    for p in _ENTANGLED[kind]:
-        rho = states.build(states.StateFamily(kind, None if p is None else float(p)))
-        worst = max(worst, np.max(np.abs(oracles.witness_from_state(rho.matrix) - want)))
-    return worst
+    rhos = (states.build(states.StateFamily(kind, None if p is None else float(p))) for p in _ENTANGLED[kind])
+    return max(np.max(np.abs(oracles.witness_from_state(rho.matrix) - want)) for rho in rhos)
 
 
 def test_witness_from_state_reproduces_bell_witness():
@@ -77,10 +74,9 @@ def test_witness_from_state_reproduces_colored_witness():
 
 
 def test_witness_from_state_rejects_ppt():
-    with pytest.raises(ValueError):
-        oracles.witness_from_state(np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        oracles.witness_from_state(states.build(states.StateFamily.werner(0.3)).matrix)
+    for rho in (np.eye(4) / 4, states.build(states.StateFamily.werner(0.3)).matrix):
+        with pytest.raises(ValueError):
+            oracles.witness_from_state(rho)
 
 
 def test_modulate_sharp_limit_unchanged():
