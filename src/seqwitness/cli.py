@@ -10,9 +10,9 @@ Each subcommand imports only what it runs, and ``json`` only under
 ``--format json``: ``witness-eval`` needs just ``states``; ``compare`` adds
 ``resource`` (which loads ``sequential``); and ``max-observers`` adds
 ``sequential``, whose chains run on the correlation strength g.  No
-subcommand loads numpy, the matrix layers, ``dataclasses`` or ``inspect``:
-the records of ``states``, ``sequential`` and ``resource`` share the
-frozen ``__slots__`` base ``states._Record``.
+subcommand loads numpy, the matrix layers, ``dataclasses`` or ``inspect``;
+every value class of the package, the matrix values too, derives from the
+frozen ``__slots__`` base ``states._Record``, and none is a dataclass.
 """
 
 from __future__ import annotations

@@ -6,16 +6,16 @@ An unsharp observable is a spin direction plus a sharpness parameter
 identity channel.  The sharpness doubles as the measurement's robustness
 (the minimal noise admixture that trivializes it).  The acceptance gate
 and the bench tracer use the effects' square roots; the effects themselves
-and the RoM by operator norms are the tests' oracles.
+and the RoM by operator norms are the tests' oracles.  Both value classes
+are ``states._Record`` values, and a copy runs their checks again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .qcore import VALIDATE_TOL, _ArrayValue, pauli
+from .states import _Record, _set
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -30,33 +30,32 @@ def spin_operator(direction: np.ndarray) -> np.ndarray:
     return n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
 
 
-@dataclass(frozen=True, eq=False)
-class UnsharpObservable(_ArrayValue):
+class UnsharpObservable(_ArrayValue, repr_omit=("direction",)):
     """A measurement direction together with its sharpness."""
 
-    direction: np.ndarray = field(repr=False)
-    sharpness: float = 1.0
+    __slots__ = ("direction", "sharpness")
 
-    def __post_init__(self):
-        n = np.array(self.direction, dtype=float)
+    def __init__(self, direction: np.ndarray, sharpness: float = 1.0):
+        n = np.array(direction, dtype=float)
         if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= VALIDATE_TOL:
             raise ValueError("direction must be a unit 3-vector")
-        if not 0.0 < self.sharpness <= 1.0:
-            raise ValueError(f"sharpness {self.sharpness} outside (0, 1]")
+        if not 0.0 < sharpness <= 1.0:
+            raise ValueError(f"sharpness {sharpness} outside (0, 1]")
         n.setflags(write=False)
-        object.__setattr__(self, "direction", n)
+        _set(self, "direction", n)
+        _set(self, "sharpness", sharpness)
 
 
-@dataclass(frozen=True)
-class PointerTradeoff:
+class PointerTradeoff(_Record):
     """Quality factor F and precision G of the measurement pointer."""
 
-    quality: float
-    precision: float
+    __slots__ = ("quality", "precision")
 
-    def __post_init__(self):
-        if not abs(self.quality**2 + self.precision**2 - 1.0) <= VALIDATE_TOL:
+    def __init__(self, quality: float, precision: float):
+        if not abs(quality**2 + precision**2 - 1.0) <= VALIDATE_TOL:
             raise ValueError("pointer must satisfy F^2 + G^2 = 1")
+        _set(self, "quality", quality)
+        _set(self, "precision", precision)
 
 
 def _projector(obs: UnsharpObservable, outcome: int) -> np.ndarray:

@@ -11,16 +11,19 @@ passes over its entries as Python complex numbers: the trace, entrywise
 Hermiticity and a row-wise Cholesky factorization of m + ORACLE_TOL * I.
 On 2x2 and 4x4 inputs that costs less than the dispatch of the numpy calls
 it replaces, and LAPACK runs only to name the eigenvalue of a rejected
-state.  The eigensolve and the matrix expectation serve the tests and the
-bench tracer, and the Wootters concurrence the acceptance gate.
+state.  The matrix values here, in ``witness`` and in ``measurement`` are
+``states._Record`` values equal by array entries (``_ArrayValue``).  The
+eigensolve and the matrix expectation serve the tests and the bench
+tracer, and the Wootters concurrence the acceptance gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .states import _Record, _set
 
 # Validation tolerance for structural checks (Hermiticity, unit trace).
 VALIDATE_TOL = 1e-12
@@ -153,7 +156,7 @@ def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
     c = np.array(c, dtype=float)
     rho = DensityMatrix(from_pauli_coefficients(c))
     c.setflags(write=False)
-    object.__setattr__(rho, "_coefficients", c)
+    _set(rho, "_coefficients", c)
     return rho
 
 
@@ -209,39 +212,31 @@ def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-class _ArrayValue:
-    """Equality and hash of the frozen dataclasses that hold numpy arrays,
-    by class and fields: an array by its shape and entries (so 0.0 equals
-    -0.0, as floats do), any other field by ``==``."""
+class _ArrayValue(_Record):
+    """A value equal and hashed by its arrays' shapes and entries (0.0 == -0.0)."""
+
+    __slots__ = ()
 
     def _key(self) -> tuple:
         return tuple([(v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
-                      for v in (getattr(self, f.name) for f in fields(self))])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+                      for v in self._values()])
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix(_ArrayValue):
+class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
     """A validated one- or two-qubit state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
     on one nested-list copy of the entries, so every state produced by a
     channel in this package is certified.  A two-qubit state built by
     ``state_from_pauli_coefficients`` also carries the read-only Pauli
-    coefficient array it was built from.
+    coefficient array it was built from, in the private slot
+    ``_coefficients``, and is pickled and copied through that function.
     """
 
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ("matrix", "_coefficients")
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError("density matrix must be 2x2 or 4x4")
         rows = m.tolist()
@@ -255,7 +250,11 @@ class DensityMatrix(_ArrayValue):
         if not _rows_shifted_cholesky(rows, ORACLE_TOL):
             _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _set(self, "matrix", m)
+
+    def __reduce__(self):
+        c = getattr(self, "_coefficients", None)
+        return (state_from_pauli_coefficients, (c,)) if c is not None else super().__reduce__()
 
 
 def _reject(m: np.ndarray, message: str):

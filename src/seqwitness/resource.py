@@ -13,6 +13,7 @@ import math
 
 from . import states
 from .sequential import ChainReport, SharpnessSchedule, _symmetric_edge_before, average_shrink
+from .states import _set
 
 # The colored-noise budget match is carried at two-decimal precision in the
 # state parameter, which puts the derived quadratic constant at 2.26 rather
@@ -22,9 +23,6 @@ _COLORED_PARAM_DECIMALS = 2
 # The detectability optimum keeps every stage's witness value at or below
 # -_BOUNDARY_MARGIN, to within round-off.
 _BOUNDARY_MARGIN = 1e-12
-
-# The field setter of a frozen record, past its refusing __setattr__.
-_set = object.__setattr__
 
 
 class DetectabilityReport(states._Record):

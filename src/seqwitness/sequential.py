@@ -25,6 +25,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import states
+from .states import _set
 
 if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
     from .qcore import DensityMatrix
@@ -32,9 +33,6 @@ if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
 
 # Float guard when snapping a threshold onto the 0.01 grid.
 _GRID_EPS = 1e-9
-
-# The field setter of a frozen record, past its refusing __setattr__.
-_set = object.__setattr__
 
 
 def average_shrink(lam: float) -> float:

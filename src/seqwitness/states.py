@@ -8,10 +8,9 @@ coefficients in closed form, and the state carries them; the construction
 from kets is the tests' oracle.
 
 Loading this module imports only ``math``.  ``_Record`` is the frozen
-``__slots__`` value base of ``StateFamily`` and of the records of
-``sequential`` and ``resource``, in place of dataclasses, so no CLI
-subcommand loads ``dataclasses`` or ``inspect``.  numpy and ``qcore`` load
-on the first ``build``.
+``__slots__`` base of every value class in the package, in place of
+dataclasses, so nothing in the package loads ``dataclasses``.  numpy and
+``qcore`` load on the first ``build``.
 """
 
 from __future__ import annotations
@@ -30,26 +29,30 @@ KINDS = (BELL, WERNER, COLORED, PURE)
 
 
 class _Record:
-    """Base of the immutable records of the stdlib layers.
+    """Base of every immutable value in the package.
 
-    A subclass's ``__slots__`` are its fields, in the order of its
-    ``__init__`` parameters; that ``__init__`` sets each field past the
-    refusing ``__setattr__`` (``object.__setattr__`` or the slot's
-    ``__set__``).  The
-    base gives equality and hashing by the field values, pickling by
-    positional reconstruction, ``__match_args__``, and the dataclass repr
-    without the fields named by the class keyword ``repr_omit``.
+    A subclass's fields are its ``__slots__`` not starting with ``_`` (the
+    others hold private state), in the order of the parameters of its own
+    ``__init__``, which checks them and sets each slot past the refusing
+    ``__setattr__`` (``object.__setattr__`` or the slot's ``__set__``).  The
+    base gives equality and hashing by ``_key()`` (the field tuple unless
+    overridden), pickling and copying through ``__init__``, so each copy is
+    checked again, ``__match_args__``, and the dataclass repr without the
+    fields named by the class keyword ``repr_omit``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, repr_omit=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls.__slots__
-        cls._repr_fields = tuple(name for name in cls.__slots__ if name not in repr_omit)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls.__match_args__ = cls._fields
+        cls._repr_fields = tuple(name for name in cls._fields if name not in repr_omit)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
+
+    _key = _values
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -60,10 +63,10 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
@@ -71,6 +74,10 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+# The field setter of a frozen value, past its refusing __setattr__.
+_set = object.__setattr__
 
 
 class StateFamily(_Record):

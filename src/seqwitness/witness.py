@@ -6,27 +6,25 @@ the basis sigma_i x sigma_j, index order (I, x, y, z), of which
 is then just a coefficient scaling: every Pauli factor on the first wing
 picks up ``xi`` and every Pauli factor on the second wing picks up ``lam``.
 The tests derive the family witnesses again by partial transposition.
+``WitnessOperator`` is a ``states._Record`` value, equal by its entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import states
 from .qcore import _ArrayValue, coefficient_expectation, pauli, scale_wings
+from .states import _set
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessOperator(_ArrayValue):
+class WitnessOperator(_ArrayValue, repr_omit=("coefficients",)):
     """Hermitian witness, nonnegative on all separable states."""
 
-    coefficients: np.ndarray = field(repr=False)
-    modulation: tuple[float, float] | None = None
+    __slots__ = ("coefficients", "modulation")
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients)
+    def __init__(self, coefficients: np.ndarray, modulation: tuple[float, float] | None = None):
+        c = np.asarray(coefficients)
         if c.dtype.kind == "c" or c.shape != (4, 4):
             raise ValueError("witness coefficients must be a real 4x4 array")
         c = np.array(c, dtype=float)
@@ -34,7 +32,8 @@ class WitnessOperator(_ArrayValue):
         if not np.isfinite(c).all():
             raise ValueError("witness coefficients must be finite")
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        _set(self, "coefficients", c)
+        _set(self, "modulation", modulation)
 
     def identity_weight(self) -> float:
         """Coefficient of the I x I term (the sharpness-independent part)."""

@@ -91,7 +91,7 @@ def test_pauli_coefficients_round_trip_on_random_hermitian_matrices():
     rho = qcore.DensityMatrix(oracles.random_density_matrix(rng, 4))
     c = qcore.pauli_coefficients(rho)
     assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
-    assert "_coefficients" not in rho.__dict__
+    assert getattr(rho, "_coefficients", None) is None
     # a raw array gets its own writable array on every call
     raw = qcore.pauli_coefficients(rho.matrix)
     assert raw.flags.writeable and raw is not qcore.pauli_coefficients(rho.matrix)

@@ -1,13 +1,21 @@
-"""The numpy-free records of ``states``, ``sequential`` and ``resource`` are
-immutable values: keyword and positional construction with fixed defaults,
-equality and hashing by field, a dataclass-style repr, pickling, copying and
-positional pattern matching, and their construction-time checks.  The
-numpy-holding dataclasses of the matrix layer, and a chain report that
-carries their states, compare and hash by array entries."""
+"""Every value class of the package, from the numpy-free records of
+``states``, ``sequential`` and ``resource`` to the matrix values of
+``qcore``, ``witness`` and ``measurement``, is an immutable ``states._Record``
+value: keyword and positional construction with fixed defaults, equality
+and hashing by field, a dataclass-style repr, pickling, copying and
+positional pattern matching, and their construction-time checks.  Matrix
+values, and a chain report that carries states, compare and hash by array
+entries; their pickles and copies run the constructor's checks again and
+hold read-only arrays.  None of this loads ``dataclasses``."""
 
 import copy
+import os
 import pickle
 import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +27,7 @@ _SCHEDULE_REPR = "SharpnessSchedule(stages=((0.9, 0.8), (1.0, 0.5)))"
 # A library chain that carries its matrix states
 _CHAIN = sequential.greedy_symmetric(states.StateFamily.bell())
 _CHAIN_FIELDS = {name: getattr(_CHAIN, name) for name in sequential.ChainReport.__slots__}
+_PSI_PLUS = witness.witness_psi_plus().coefficients
 
 # (class, keyword arguments, a differing set, defaults of the omitted
 # keywords as (required keywords, expected field values), repr, invalid
@@ -100,6 +109,42 @@ _CASES = {
         "lambdas=(1.0, 0.625, 0.625), rom=4.5)",
         (),
     ),
+    "DensityMatrix": (
+        qcore.DensityMatrix, {"matrix": np.diag([0.75, 0.25])}, {"matrix": np.diag([0.25, 0.75])},
+        None,
+        "DensityMatrix()",
+        (({"matrix": np.eye(3) / 3}, "density matrix must be 2x2 or 4x4"),
+         ({"matrix": np.eye(2)}, "trace 2+0j differs from 1"),
+         ({"matrix": np.array([[0.5, 0.1], [0.2, 0.5]])}, "density matrix must be Hermitian"),
+         ({"matrix": np.diag([1.5, -0.5])}, "negative eigenvalue -0.5"),
+         ({"matrix": np.diag([np.nan, 1.0])}, "density matrix has non-finite entries")),
+    ),
+    "WitnessOperator": (
+        witness.WitnessOperator, {"coefficients": _PSI_PLUS, "modulation": (0.5, 0.9)},
+        {"coefficients": _PSI_PLUS, "modulation": None},
+        ({"coefficients": _PSI_PLUS}, {"modulation": None}),
+        "WitnessOperator(modulation=(0.5, 0.9))",
+        (({"coefficients": np.eye(2)}, "witness coefficients must be a real 4x4 array"),
+         ({"coefficients": _PSI_PLUS * 1j}, "witness coefficients must be a real 4x4 array"),
+         ({"coefficients": np.full((4, 4), np.inf)}, "witness coefficients must be finite")),
+    ),
+    "UnsharpObservable": (
+        measurement.UnsharpObservable, {"direction": measurement.X_AXIS, "sharpness": 0.5},
+        {"direction": measurement.Z_AXIS, "sharpness": 0.5},
+        ({"direction": measurement.X_AXIS}, {"sharpness": 1.0}),
+        "UnsharpObservable(sharpness=0.5)",
+        (({"direction": np.array([1.0, 1.0, 0.0])}, "direction must be a unit 3-vector"),
+         ({"direction": np.ones(2)}, "direction must be a unit 3-vector"),
+         ({"sharpness": 1.5}, "sharpness 1.5 outside (0, 1]"),
+         ({"sharpness": 0.0}, "sharpness 0.0 outside (0, 1]")),
+    ),
+    "PointerTradeoff": (
+        measurement.PointerTradeoff, {"quality": 0.6, "precision": 0.8},
+        {"quality": 0.8, "precision": 0.6},
+        None,
+        "PointerTradeoff(quality=0.6, precision=0.8)",
+        (({"quality": 0.5}, "pointer must satisfy F^2 + G^2 = 1"),),
+    ),
 }
 
 
@@ -111,6 +156,13 @@ def _hashable(value):
     return True
 
 
+def _same(value, expected):
+    """Field equality, arrays by their entries."""
+    if isinstance(expected, np.ndarray):
+        return np.array_equal(value, expected)
+    return value == expected
+
+
 @pytest.mark.parametrize("name", _CASES)
 def test_record_is_an_immutable_value(name):
     cls, kwargs, other_kwargs, defaults, expected_repr, invalid = _CASES[name]
@@ -118,12 +170,12 @@ def test_record_is_an_immutable_value(name):
     assert type(record).__name__ == name.split()[0]
     fields = tuple(kwargs)
     assert cls.__match_args__ == fields
-    assert all(getattr(record, k) == v for k, v in kwargs.items())
+    assert all(_same(getattr(record, k), v) for k, v in kwargs.items())
     assert cls(*kwargs.values()) == record  # positional order is field order
     if defaults is not None:
         required, omitted = defaults
         bare = cls(**required)
-        assert all(getattr(bare, k) == v for k, v in omitted.items())
+        assert all(_same(getattr(bare, k), v) for k, v in omitted.items())
         assert cls(**required, **omitted) == bare
 
     same, other = cls(**kwargs), cls(**other_kwargs)
@@ -131,7 +183,8 @@ def test_record_is_an_immutable_value(name):
     assert record != other and not record == other
     assert record != tuple(kwargs.values())
     assert record.__eq__(object()) is NotImplemented
-    if all(_hashable(v) for v in kwargs.values()):
+    # hashable when the record's own key is: arrays enter it by their entries
+    if all(_hashable(v) for v in record._key()):
         assert hash(record) == hash(same)
         assert {record: 1}[same] == 1
     else:
@@ -190,3 +243,63 @@ def test_matrix_layer_values_compare_and_hash_by_entries():
     for a, b in unequal:
         assert a != b and not a == b
     assert qcore.DensityMatrix(np.eye(2) / 2).__eq__(psi_plus) is NotImplemented
+
+
+def _arrays(value):
+    """Every array a value holds, its private slots included."""
+    slots = type(value).__slots__
+    return [a for a in (getattr(value, name, None) for name in slots) if isinstance(a, np.ndarray)]
+
+
+def test_copies_of_matrix_values_are_checked_again_and_read_only():
+    psi_plus = witness.witness_psi_plus()
+    values = (states.build(states.StateFamily.werner(0.5)),
+              qcore.DensityMatrix(np.diag([0.75, 0.25])),
+              psi_plus, witness.modulate(psi_plus, 0.5, 0.9),
+              measurement.UnsharpObservable(measurement.X_AXIS, 0.5))
+    for value in values:
+        carried = getattr(value, "_coefficients", None)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+            arrays = _arrays(copied)
+            assert len(arrays) == len(_arrays(value))
+            assert arrays and not any(a.flags.writeable for a in arrays)
+            if isinstance(value, qcore.DensityMatrix):
+                # a state keeps the coefficients it was built from, or none
+                kept = getattr(copied, "_coefficients", None)
+                assert (kept is None) == (carried is None)
+                if carried is not None:
+                    assert np.array_equal(kept, carried)
+                    assert qcore.pauli_coefficients(copied) is kept
+                with pytest.raises(ValueError, match="read-only"):
+                    copied.matrix[0, 0] = 5.0
+
+
+def test_a_pickled_state_is_validated_on_load():
+    # a pickle is rebuilt through the constructor, so tampered entries fail
+    # its checks instead of coming back as a "validated" state
+    payload = pickle.dumps(qcore.DensityMatrix(np.diag([0.75, 0.25])))
+    entry = struct.pack("<d", 0.75)
+    assert payload.count(entry) == 1
+    with pytest.raises(ValueError, match=re.escape("trace 5.25+0j differs from 1")):
+        pickle.loads(payload.replace(entry, struct.pack("<d", 5.0)))
+
+
+def test_matrix_layers_load_no_dataclasses():
+    # a fresh interpreter: the matrix values, a chain that carries states
+    # and a pickle round trip all run without the dataclasses module
+    script = """
+import pickle, sys
+from seqwitness import measurement, qcore, sequential, states, witness
+rho = states.build(states.StateFamily.werner(0.5))
+chain = sequential.greedy_symmetric(states.StateFamily.bell())
+assert chain.states and pickle.loads(pickle.dumps(chain)) == chain
+assert pickle.loads(pickle.dumps(rho)) == rho
+assert "dataclasses" not in sys.modules, "dataclasses loaded"
+"""
+    src = str(Path(states.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
