@@ -242,7 +242,7 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
         rows = m.tolist()
         trace = sum([row[i] for i, row in enumerate(rows)])
         if abs(trace - 1.0) > VALIDATE_TOL:
-            _reject(m, f"trace {trace:.3g} differs from 1")
+            _reject(m, f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
         if not _rows_hermitian(rows, VALIDATE_TOL):
             _reject(m, "density matrix must be Hermitian")
         # m + ORACLE_TOL * I has a Cholesky factor iff no eigenvalue is below

@@ -59,24 +59,22 @@ class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
 
 
 def detectability(chain: ChainReport) -> DetectabilityReport:
-    """Evaluate each stage's modulated witness on its incoming state."""
-    from . import witness
-
+    """Stage-wise witness values of a chain: a stage (xi, lam) entered at
+    correlation strength g reads (1 - xi lam g) / 4.  Only the schedule and
+    ``chain.strengths`` are read, so a chain that carries no states gives
+    the same report."""
     if chain.detected_stages < 1:
         raise ValueError("detectability needs at least one stage")
-    w = witness.family_witness(chain.family.kind)
-    per = tuple(
-        witness.expectation(witness.modulate(w, xi, lam), rho)
-        for (xi, lam), rho in zip(chain.schedule.stages, chain.states)
-    )
+    per = tuple((1.0 - xi * lam * g) / 4.0
+                for (xi, lam), g in zip(chain.schedule.stages, chain.strengths))
     return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
 
 
 def _symmetric_report(g: float, lambdas) -> DetectabilityReport:
     """Report of the symmetric schedule ``lambdas`` on a state of correlation
     strength g, from the recursion e_i = (1 - lam_i^2 g_i) / 4,
-    g_{i+1} = g_i s(lam_i)^2: what ``detectability`` reads off the matrix
-    chain of ``sequential.run_symmetric_schedule``."""
+    g_{i+1} = g_i s(lam_i)^2: equal to ``detectability`` of the chain that
+    ``sequential.run_symmetric_schedule`` runs, without running it."""
     per = []
     for lam in lambdas:
         per.append((1.0 - lam * lam * g) / 4.0)

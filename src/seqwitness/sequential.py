@@ -10,18 +10,19 @@ The family witnesses see a state only through its correlation strength g
 (``states.correlation_strength``): a (xi, lam)-modulated witness has
 expectation (1 - xi lam g) / 4, so a stage "detects" exactly when its
 sharpness product exceeds the threshold 1/g, and an averaged stage
-multiplies g by s(xi) s(lam).  Every chain decides on g alone.  The
-library chains also carry the matrix state through the averaged channels
-and record the state entering each stage; ``violation_threshold`` is the
-matrix route to the same threshold, which the tests compare against.  The
-greedy procedures saturate each stage just above its threshold to disturb
-the state as little as possible and count how many stages stay below
-product 1.
+multiplies g by s(xi) s(lam).  Every chain decides on g alone and records
+the g entering each stage, which is all ``resource`` reads.  The library
+chains also carry the matrix state through the averaged channels for the
+tests' matrix route and the bench tracer; ``violation_threshold`` is that
+route to the threshold.  The greedy procedures saturate each stage just
+above its threshold to disturb the state as little as possible and count
+how many stages stay below product 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from . import states
@@ -148,25 +149,26 @@ class SharpnessSchedule(states._Record):
 class ChainReport(states._Record, repr_omit=("states",)):
     """Outcome of a chain run.
 
-    ``thresholds`` holds the raw violation threshold 1/g of every stage
-    examined: one per stage, plus a last one of at least 1 when a greedy
-    chain ends at an infeasible stage (none when it ends at its stage cap,
-    nor for a fixed schedule).  ``states`` holds the averaged matrix state
-    entering each recorded stage; it is carried alongside g, decides
-    nothing and is left out of the repr.  A fixed schedule records every
-    scheduled stage, so its ``detected_stages`` is the schedule's length,
-    detecting or not.
+    ``strengths`` holds the correlation strength g entering every stage
+    examined, and ``thresholds`` its raw violation threshold 1/g: one per
+    stage, plus a last one of at least 1 when a greedy chain ends at an
+    infeasible stage (none when it ends at its stage cap, nor for a fixed
+    schedule).  ``states`` holds the averaged matrix state entering each
+    recorded stage; it decides nothing, no library code reads it, and it is
+    left out of the repr.  A fixed schedule records every scheduled stage,
+    so its ``detected_stages`` is the schedule's length, detecting or not.
     """
 
-    __slots__ = ("family", "detected_stages", "schedule", "thresholds", "states")
+    __slots__ = ("family", "detected_stages", "schedule", "thresholds", "strengths", "states")
 
     def __init__(self, family: states.StateFamily, detected_stages: int,
                  schedule: SharpnessSchedule, thresholds: tuple[float, ...],
-                 states: tuple[DensityMatrix, ...]):
+                 strengths: tuple[float, ...], states: tuple[DensityMatrix, ...]):
         _set(self, "family", family)
         _set(self, "detected_stages", detected_stages)
         _set(self, "schedule", schedule)
         _set(self, "thresholds", thresholds)
+        _set(self, "strengths", strengths)
         _set(self, "states", states)
 
 
@@ -192,7 +194,7 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
     wings; ``None`` means every stage does (the symmetric scenario).  Once
     the limit is reached the remaining wing-one observer is projective and
     stages modulate the witness on the second wing only.  Each stage
-    records its violation threshold 1/g and then takes the sharpness
+    records its g and violation threshold 1/g, then takes the sharpness
     ``sharpness(threshold, stage, two_sided)``; ``None`` ends the chain.
     The stage multiplies g by s(lam)^2 (two-sided) or s(lam) (one-sided).
 
@@ -205,6 +207,7 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
     rho = states.build(family) if carry_states else None
     stages: list[tuple[float, float]] = []
     thresholds: list[float] = []
+    strengths: list[float] = []
     incoming: list[DensityMatrix] = []
     while max_stages is None or len(stages) < max_stages:
         stage = len(stages) + 1
@@ -212,6 +215,7 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
         # the cut of violation_threshold: slope -g/4 >= -1e-15
         t = 1.0 / g if g > 4e-15 else math.inf
         thresholds.append(t)
+        strengths.append(g)
         s = sharpness(t, stage, two_sided)
         if s is None:
             break
@@ -222,9 +226,8 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
             incoming.append(rho)
             if len(stages) != max_stages:  # no channel after the last stage
                 rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
-    return ChainReport(family=family, detected_stages=len(stages),
-                       schedule=SharpnessSchedule(tuple(stages)),
-                       thresholds=tuple(thresholds), states=tuple(incoming))
+    return ChainReport(family, len(stages), SharpnessSchedule(tuple(stages)),
+                       tuple(thresholds), tuple(strengths), tuple(incoming))
 
 
 def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = None,
@@ -235,7 +238,7 @@ def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = 
     disturbing the state as little as the detection constraint allows, and
     the chain stops at the first stage whose threshold reaches 1.
     """
-    if max_stages is not None and max_stages < 1:
+    if max_stages is not None and operator.index(max_stages) < 1:
         raise ValueError("max_stages must be at least 1")
     return _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
 
@@ -250,9 +253,9 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
     further Bob adds a one-sided stage.  The returned report's
     ``detected_stages`` is the total count of detecting Bobs.
     """
-    if alices < 1:
+    if operator.index(alices) < 1:
         raise ValueError("need at least one observer on the first wing")
-    if max_bobs is not None and max_bobs < 1:
+    if max_bobs is not None and operator.index(max_bobs) < 1:
         raise ValueError("max_bobs must be at least 1")
     policy = policy or EpsilonPolicy.asymmetric_default()
     return _run_chain(family, alices - 1, max_bobs, policy.sharpness)
@@ -262,9 +265,9 @@ def run_symmetric_schedule(family: states.StateFamily,
                            lambdas: tuple[float, ...]) -> ChainReport:
     """Evolve the symmetric chain at a fixed per-stage sharpness schedule.
 
-    No feasibility decision is taken; thresholds and incoming states are
-    recorded for every stage, including those whose threshold reaches 1, so
-    the caller can evaluate stage-wise witness expectations.
+    No feasibility decision is taken; thresholds, strengths and incoming
+    states are recorded for every stage, including those whose threshold
+    reaches 1, so ``resource.detectability`` reports every stage.
     """
     if not lambdas:
         raise ValueError("schedule must have at least one stage")

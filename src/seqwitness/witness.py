@@ -69,7 +69,9 @@ _FAMILY_WITNESSES = {states.BELL: _PSI_PLUS, states.WERNER: _PSI_PLUS,
 
 def family_witness(kind: str) -> WitnessOperator:
     """The witness each state family is detected with: one validated
-    instance per witness, shared by every chain."""
+    instance per witness.  The library reads its stage values in closed
+    form, (1 - xi lam g) / 4; the matrix route here, with ``modulate`` and
+    ``expectation``, stays for the tests and the bench tracer."""
     try:
         return _FAMILY_WITNESSES[kind]
     except (KeyError, TypeError):
@@ -81,7 +83,8 @@ def modulate(w: WitnessOperator, xi: float, lam: float) -> WitnessOperator:
 
     Each non-identity Pauli factor on the first wing is scaled by ``xi``
     and on the second wing by ``lam``; the identity term is untouched.
-    The one-sided form is ``modulate(w, 1.0, lam)``.
+    The one-sided form is ``modulate(w, 1.0, lam)``.  Kept for the tests'
+    matrix route and the bench tracer.
     """
     if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
         raise ValueError("modulation parameters must lie in (0, 1]")
@@ -92,7 +95,8 @@ def modulate(w: WitnessOperator, xi: float, lam: float) -> WitnessOperator:
 
 def expectation(w: WitnessOperator, rho) -> float:
     """Tr(W rho) = 4 sum_ij w[i, j] c[i, j] for a witness and a two-qubit
-    (density) matrix with Pauli coefficients c, which a state carries."""
+    (density) matrix with Pauli coefficients c, which a state carries.
+    Kept for the tests' matrix route and the bench tracer."""
     return coefficient_expectation(w.coefficients, rho)
 
 

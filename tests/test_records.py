@@ -59,12 +59,13 @@ _CASES = {
     "ChainReport": (
         sequential.ChainReport,
         {"family": states.StateFamily.bell(), "detected_stages": 2, "schedule": _SCHEDULE,
-         "thresholds": (1 / 3, 0.5, 1.25), "states": ()},
+         "thresholds": (1 / 3, 0.5, 1.25), "strengths": (3.0, 2.0, 0.8), "states": ()},
         {"family": states.StateFamily.bell(), "detected_stages": 2, "schedule": _SCHEDULE,
-         "thresholds": (1 / 3, 0.5, 1.25), "states": (None,)},
+         "thresholds": (1 / 3, 0.5, 1.25), "strengths": (3.0, 2.0, 0.8), "states": (None,)},
         None,
         "ChainReport(family=StateFamily(kind='bell', param=None), detected_stages=2, "
-        f"schedule={_SCHEDULE_REPR}, thresholds=(0.3333333333333333, 0.5, 1.25))",
+        f"schedule={_SCHEDULE_REPR}, thresholds=(0.3333333333333333, 0.5, 1.25), "
+        "strengths=(3.0, 2.0, 0.8))",
         (),
     ),
     "ChainReport with states": (
@@ -72,7 +73,8 @@ _CASES = {
         {**_CHAIN_FIELDS, "states": _CHAIN.states[:-1]},
         None,
         f"ChainReport(family={_CHAIN.family!r}, detected_stages={_CHAIN.detected_stages!r}, "
-        f"schedule={_CHAIN.schedule!r}, thresholds={_CHAIN.thresholds!r})",
+        f"schedule={_CHAIN.schedule!r}, thresholds={_CHAIN.thresholds!r}, "
+        f"strengths={_CHAIN.strengths!r})",
         (),
     ),
     "DetectabilityReport": (
@@ -114,7 +116,8 @@ _CASES = {
         None,
         "DensityMatrix()",
         (({"matrix": np.eye(3) / 3}, "density matrix must be 2x2 or 4x4"),
-         ({"matrix": np.eye(2)}, "trace 2+0j differs from 1"),
+         ({"matrix": np.eye(2)}, "trace 2 differs from 1"),
+         ({"matrix": np.diag([1.0 + 0.5j, 0.0])}, "trace 1+0.5j differs from 1"),
          ({"matrix": np.array([[0.5, 0.1], [0.2, 0.5]])}, "density matrix must be Hermitian"),
          ({"matrix": np.diag([1.5, -0.5])}, "negative eigenvalue -0.5"),
          ({"matrix": np.diag([np.nan, 1.0])}, "density matrix has non-finite entries")),
@@ -281,7 +284,7 @@ def test_a_pickled_state_is_validated_on_load():
     payload = pickle.dumps(qcore.DensityMatrix(np.diag([0.75, 0.25])))
     entry = struct.pack("<d", 0.75)
     assert payload.count(entry) == 1
-    with pytest.raises(ValueError, match=re.escape("trace 5.25+0j differs from 1")):
+    with pytest.raises(ValueError, match=re.escape("trace 5.25 differs from 1")):
         pickle.loads(payload.replace(entry, struct.pack("<d", 5.0)))
 
 

@@ -23,6 +23,14 @@ def summed_expectation(kind, schedule, param):
                for xi, lam in schedule.stages)
 
 
+def witness_on_carried_states(chain):
+    """Each stage's modulated family witness on the state the chain carried
+    into it: the matrix route that ``resource.detectability`` is checked by."""
+    w = witness.family_witness(chain.family.kind)
+    return tuple(witness.expectation(witness.modulate(w, xi, lam), rho)
+                 for (xi, lam), rho in zip(chain.schedule.stages, chain.states))
+
+
 def test_detectability_best_schedule():
     report = resource.detectability(best_chain())
     assert report.per_stage[0] == pytest.approx(-0.149675, abs=1e-6)
@@ -46,10 +54,19 @@ def test_detectability_requires_stages():
 
 
 def test_closed_form_detectability_matches_matrix_route():
-    report = resource.detectability(best_chain())
     strength = states.correlation_strength(BELL)
     closed = oracles.closed_form_detectability(strength, BEST_SCHEDULE)
-    assert np.allclose(closed, report.per_stage, atol=1e-12)
+    assert np.allclose(closed, witness_on_carried_states(best_chain()), atol=1e-12)
+
+
+def test_detectability_of_a_chain_that_carries_no_states():
+    # the stage loop without states (as the CLI runs it) records the same g
+    stateless = sequential._run_chain(BELL, None, 3, lambda t, stage, _: BEST_SCHEDULE[stage - 1],
+                                      carry_states=False)
+    assert stateless.states == ()
+    report = resource.detectability(stateless)
+    assert report == resource.detectability(best_chain())
+    assert len(report.per_stage) == 3 and round(report.total, 2) == -0.20
 
 
 OPTIMIZER_CASES = [
@@ -616,23 +633,39 @@ def test_comparison_tables_paper_rounded_columns():
 
 
 def test_closed_form_report_matches_matrix_chain():
-    # the recursion e_i = (1 - lam_i^2 g_i)/4, g_{i+1} = g_i s_i^2 behind every
-    # returned report, against the witness evaluated on the matrix chain
+    # the recursion e_i = (1 - xi_i lam_i g_i)/4 that detectability reads off
+    # a fixed schedule, a greedy symmetric chain and a greedy asymmetric one
+    # (one-sided stages at xi = 1), against the witness on the carried states;
+    # zero-slack stages read 0 up to round-off, so no sign is asserted
     rng = np.random.default_rng(29)
     ranges = {"bell": None, "werner": (1e-6, 1.0), "colored": (1e-6, 1.0),
               "pure": (1e-6, math.pi / 4.0 - 1e-6)}
+    one_sided = 0
     for _ in range(300):
         kind = str(rng.choice(list(ranges)))
         param = None if kind == "bell" else float(rng.uniform(*ranges[kind]))
         family = states.StateFamily(kind, param)
         lams = tuple(float(v) for v in rng.uniform(1e-3, 1.0, size=rng.integers(1, 5)))
-        report = resource._symmetric_report(states.correlation_strength(family), lams)
-        matrix = resource.detectability(sequential.run_symmetric_schedule(family, lams))
-        assert report.schedule == matrix.schedule
-        assert len(report.per_stage) == len(matrix.per_stage)
-        for got, want in zip(report.per_stage, matrix.per_stage):
-            assert abs(got - want) <= 1e-15, (kind, param, lams)
-        assert abs(report.total - matrix.total) <= 1e-15
+        fixed = sequential.run_symmetric_schedule(family, lams)
+        assert (resource._symmetric_report(states.correlation_strength(family), lams)
+                == resource.detectability(fixed))
+        first, later = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
+        policy = sequential.EpsilonPolicy(first, later * bool(rng.integers(2)),
+                                          bool(rng.integers(2)))
+        chains = (fixed, sequential.greedy_symmetric(family, policy),
+                  sequential.greedy_asymmetric(int(rng.integers(1, 5)), family, policy))
+        for chain in chains:
+            if chain.detected_stages == 0:
+                continue
+            report = resource.detectability(chain)
+            matrix = witness_on_carried_states(chain)
+            assert report.schedule == chain.schedule
+            assert len(report.per_stage) == len(matrix) == chain.detected_stages
+            for got, want in zip(report.per_stage, matrix):
+                assert abs(got - want) <= 1e-15, (kind, param, chain.schedule)
+            assert abs(report.total - sum(matrix)) <= 1e-15 * len(matrix)
+            one_sided += sum(xi == 1.0 for xi, _ in chain.schedule.stages[1:])
+    assert one_sided > 100
 
 
 def test_total_rom_sums_measurement_rom_over_both_wings():

@@ -290,6 +290,18 @@ def test_greedy_asymmetric_max_bobs_cap():
             seq.greedy_asymmetric(2, BELL, max_bobs=cap)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: seq.greedy_symmetric(states.StateFamily.werner(0.9), max_stages=2.5),
+    lambda: seq.greedy_asymmetric(1, BELL, max_bobs=2.5),
+    lambda: seq.greedy_asymmetric(2.5, BELL),
+], ids=["max_stages", "max_bobs", "alices"])
+def test_non_integral_counts_and_caps_are_refused(run):
+    # the stage loop would otherwise run a cap of 2.5 to 3 stages and read
+    # 2.5 Alices as 2
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run()
+
+
 def test_classify_pair_counts():
     assert seq.classify_pair_count(states.StateFamily.werner(0.9)) == 3
     assert seq.classify_pair_count(states.StateFamily.werner(0.7)) == 2
@@ -496,7 +508,9 @@ def test_g_thresholds_match_the_matrix_route_on_the_carried_states():
                     incoming.append(seq.average_one_sided(incoming[-1], lam))
             else:
                 incoming.append(states.build(report.family))
-        assert len(incoming) == len(report.thresholds)
+        assert len(incoming) == len(report.thresholds) == len(report.strengths)
+        for t, g in zip(report.thresholds, report.strengths):
+            assert t == (1.0 / g if g > 4e-15 else math.inf)
         w = witness.family_witness(report.family.kind)
         for t, rho in zip(report.thresholds, incoming):
             expected = seq.violation_threshold(w, rho)
