@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 from . import states
-from .sequential import ChainReport, SharpnessSchedule, _symmetric_edge_before, average_shrink
+from .sequential import (ChainReport, SharpnessSchedule, _run_chain, _symmetric_edge_before,
+                         average_shrink)
 from .states import _set
 
 # The colored-noise budget match is carried at two-decimal precision in the
@@ -62,26 +63,13 @@ def detectability(chain: ChainReport) -> DetectabilityReport:
     """Stage-wise witness values of a chain: a stage (xi, lam) entered at
     correlation strength g reads (1 - xi lam g) / 4.  Only the schedule and
     ``chain.strengths`` are read, so a chain that carries no states gives
-    the same report."""
+    the same report; the optimizer and the tables read their fixed
+    schedules off such a chain."""
     if chain.detected_stages < 1:
         raise ValueError("detectability needs at least one stage")
     per = tuple((1.0 - xi * lam * g) / 4.0
                 for (xi, lam), g in zip(chain.schedule.stages, chain.strengths))
     return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
-
-
-def _symmetric_report(g: float, lambdas) -> DetectabilityReport:
-    """Report of the symmetric schedule ``lambdas`` on a state of correlation
-    strength g, from the recursion e_i = (1 - lam_i^2 g_i) / 4,
-    g_{i+1} = g_i s(lam_i)^2: equal to ``detectability`` of the chain that
-    ``sequential.run_symmetric_schedule`` runs, without running it."""
-    per = []
-    for lam in lambdas:
-        per.append((1.0 - lam * lam * g) / 4.0)
-        s = average_shrink(lam)
-        g *= s * s
-    return DetectabilityReport(per_stage=tuple(per), total=float(sum(per)),
-                               schedule=SharpnessSchedule(tuple((lam, lam) for lam in lambdas)))
 
 
 def maximize_detectability(family: states.StateFamily,
@@ -181,7 +169,9 @@ def maximize_detectability(family: states.StateFamily,
         if lam not in scored:
             scored[lam] = stage_two(lam)
     lam1 = max(scored, key=lambda lam: scored[lam][0])
-    return _symmetric_report(g, (lam1, scored[lam1][1], cap3))
+    lams = (lam1, scored[lam1][1], cap3)
+    return detectability(_run_chain(family, None, 3, lambda t, stage, _: lams[stage - 1],
+                                    carry_states=False))
 
 
 def total_rom(schedule: SharpnessSchedule) -> float:
@@ -321,7 +311,8 @@ def build_comparison_tables(paper_rounded: bool = False
     bell = states.StateFamily.bell()
     opt = maximize_detectability(bell)
     canon = tuple(round(lam, 2) for lam, _ in opt.schedule.stages)
-    report = _symmetric_report(states.correlation_strength(bell), canon)
+    report = detectability(_run_chain(bell, None, 3, lambda t, stage, _: canon[stage - 1],
+                                      carry_states=False))
     if any(d >= 0.0 for d in report.per_stage):
         raise RuntimeError("canonical schedule lost stage-wise feasibility")
     target = round(report.total, 2)
