@@ -6,15 +6,16 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` entries
 channels act as per-wing scalings and witness expectations as dot products.
 A state built by ``state_from_pauli_coefficients`` carries the coefficient
 array it is built from, and ``pauli_coefficients`` returns it without going
-back through the matrix.  ``DensityMatrix`` validates a state in scalar
-passes over its entries as Python complex numbers: the trace, entrywise
-Hermiticity and a row-wise Cholesky factorization of m + ORACLE_TOL * I.
-On 2x2 and 4x4 inputs that costs less than the dispatch of the numpy calls
-it replaces, and LAPACK runs only to name the eigenvalue of a rejected
-state.  The matrix values here, in ``witness`` and in ``measurement`` are
-``states._Record`` values equal by array entries (``_ArrayValue``).  The
-eigensolve and the matrix expectation serve the tests and the bench
-tracer, and the Wootters concurrence the acceptance gate.
+back through the matrix.  ``DensityMatrix`` validates a state on its
+entries as Python complex numbers: the trace, then one pass over the rows
+that checks entrywise Hermiticity while it builds the Cholesky factor of
+m + ORACLE_TOL * I.  On 2x2 and 4x4 inputs that costs less than the
+dispatch of the numpy calls it replaces, and LAPACK runs only to name the
+eigenvalue of a rejected state.  The matrix values here, in ``witness``
+and in ``measurement`` are ``states._Record`` values equal by array
+entries (``_ArrayValue``).  The eigensolve and the matrix expectation
+serve the tests and the bench tracer, and the Wootters concurrence the
+acceptance gate.
 """
 
 from __future__ import annotations
@@ -98,28 +99,6 @@ def _rows_hermitian(rows: list, tol: float) -> bool:
     return True
 
 
-def _rows_shifted_cholesky(rows: list, shift: float) -> bool:
-    """Whether the Hermitian matrix given as nested lists plus ``shift`` * I
-    has a Cholesky factor L L^dag, built row by row from the lower triangle
-    and failing on the first pivot that is not > 0 (NaN included)."""
-    factor: list[list] = []
-    for i, row in enumerate(rows):
-        li = []
-        for j, lj in enumerate(factor):
-            s = row[j]
-            for k in range(j):
-                s -= li[k] * lj[k].conjugate()
-            li.append(s / lj[j])
-        pivot = row[i].real + shift
-        for x in li:
-            pivot -= x.real * x.real + x.imag * x.imag
-        if not pivot > 0.0:
-            return False
-        li.append(math.sqrt(pivot))
-        factor.append(li)
-    return True
-
-
 def as_matrix(rho) -> np.ndarray:
     """Accept either a DensityMatrix or a raw array."""
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
@@ -143,7 +122,7 @@ def pauli_coefficients(m) -> np.ndarray:
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     """The 4x4 operator sum_ij c[i, j] sigma_i x sigma_j."""
-    return (np.reshape(c, 16) @ _BASIS_FLAT).reshape(4, 4)
+    return (np.asarray(c).reshape(16) @ _BASIS_FLAT).reshape(4, 4)
 
 
 def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
@@ -227,28 +206,53 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
     on one nested-list copy of the entries, so every state produced by a
-    channel in this package is certified.  A two-qubit state built by
-    ``state_from_pauli_coefficients`` also carries the read-only Pauli
-    coefficient array it was built from, in the private slot
-    ``_coefficients``, and is pickled and copied through that function.
+    channel in this package is certified.  After the trace, a single pass
+    checks Hermiticity and positivity together; a failure reports the trace
+    first, then Hermiticity, then the negative eigenvalue.  A two-qubit
+    state built by ``state_from_pauli_coefficients`` also carries the
+    read-only Pauli coefficient array it was built from, in the private
+    slot ``_coefficients``, and is pickled and copied through that function.
     """
 
     __slots__ = ("matrix", "_coefficients")
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
+        if m.shape not in ((2, 2), (4, 4)):
             raise ValueError("density matrix must be 2x2 or 4x4")
         rows = m.tolist()
-        trace = sum([row[i] for i, row in enumerate(rows)])
+        trace = sum([rows[i][i] for i in range(len(rows))])
         if abs(trace - 1.0) > VALIDATE_TOL:
             _reject(m, f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
-        if not _rows_hermitian(rows, VALIDATE_TOL):
-            _reject(m, "density matrix must be Hermitian")
-        # m + ORACLE_TOL * I has a Cholesky factor iff no eigenvalue is below
-        # -ORACLE_TOL; only a failure pays for the eigensolve that names it
-        if not _rows_shifted_cholesky(rows, ORACLE_TOL):
-            _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
+        # One pass checks Hermiticity and builds, row by row, the Cholesky
+        # factor L L^dag of m + ORACLE_TOL * I, which exists iff no eigenvalue
+        # is below -ORACLE_TOL.  Row i first checks |m[j][i] - conj(m[i][j])|
+        # for j <= i, so the factor reads only checked entries.  A pivot that
+        # is not > 0 (NaN included) fails positivity only once the remaining
+        # rows are Hermitian, and only a failure pays for the eigensolve that
+        # names the eigenvalue.
+        factor: list[list] = []
+        for i, row in enumerate(rows):
+            li = []
+            for j, lj in enumerate(factor):
+                s = row[j]
+                if not abs(rows[j][i] - s.conjugate()) <= VALIDATE_TOL:
+                    _reject(m, "density matrix must be Hermitian")
+                for k in range(j):
+                    s -= li[k] * lj[k].conjugate()
+                li.append(s / lj[j])
+            d = row[i]
+            if not abs(d - d.conjugate()) <= VALIDATE_TOL:
+                _reject(m, "density matrix must be Hermitian")
+            pivot = d.real + ORACLE_TOL
+            for x in li:
+                pivot -= x.real * x.real + x.imag * x.imag
+            if not pivot > 0.0:
+                if not _rows_hermitian(rows, VALIDATE_TOL):
+                    _reject(m, "density matrix must be Hermitian")
+                _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
+            li.append(math.sqrt(pivot))
+            factor.append(li)
         m.setflags(write=False)
         _set(self, "matrix", m)
 

@@ -50,7 +50,9 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     Kraus sum over 3 directions and 2 outcomes per wing of
     (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
-    from . import qcore
+    # the channels run once per stage; an absolute import skips the
+    # from-list handling that a relative one pays on every call
+    import seqwitness.qcore as qcore
 
     c = qcore.scale_wings(qcore.pauli_coefficients(rho), average_shrink(xi), average_shrink(lam))
     return qcore.state_from_pauli_coefficients(c)
@@ -63,7 +65,7 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     first-wing scale of 1.0 is exact; the test oracle is the 6-term Kraus sum
     of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
     """
-    from . import qcore
+    import seqwitness.qcore as qcore
 
     c = qcore.scale_wings(qcore.pauli_coefficients(rho), 1.0, average_shrink(lam))
     return qcore.state_from_pauli_coefficients(c)

@@ -143,19 +143,20 @@ def build(family: StateFamily) -> DensityMatrix:
 
     from .qcore import state_from_pauli_coefficients
 
+    # the closed forms over 4 (a division by 4 is exact)
     c = np.zeros((4, 4))
-    c[0, 0] = 1.0
+    c[0, 0] = 0.25
     if family.kind in (BELL, WERNER):
-        p = 1.0 if family.kind == BELL else family.param
-        c[1, 1], c[2, 2], c[3, 3] = p, p, -p
+        q = (1.0 if family.kind == BELL else family.param) / 4.0
+        c[1, 1], c[2, 2], c[3, 3] = q, q, -q
     elif family.kind == COLORED:
         p = family.param
-        c[1, 1], c[2, 2], c[3, 3] = p, -p, 2.0 * p - 1.0
+        c[1, 1], c[2, 2], c[3, 3] = p / 4.0, -p / 4.0, (2.0 * p - 1.0) / 4.0
     else:
         s2, c2 = math.sin(2.0 * family.param), math.cos(2.0 * family.param)
-        c[1, 1], c[2, 2], c[3, 3] = s2, s2, -1.0
-        c[3, 0], c[0, 3] = c2, -c2
-    return state_from_pauli_coefficients(c / 4.0)
+        c[1, 1], c[2, 2], c[3, 3] = s2 / 4.0, s2 / 4.0, -0.25
+        c[3, 0], c[0, 3] = c2 / 4.0, -c2 / 4.0
+    return state_from_pauli_coefficients(c)
 
 
 def concurrence_closed_form(family: StateFamily) -> float:

@@ -120,6 +120,17 @@ def test_state_carries_a_read_only_copy_of_its_coefficients():
         qcore.state_from_pauli_coefficients(np.eye(2) / 2)
 
 
+def test_from_pauli_coefficients_reads_any_array_like_alike():
+    c = np.random.default_rng(31).normal(size=(4, 4))
+    want = qcore.from_pauli_coefficients(np.array(c))
+    read_only = np.array(c)
+    read_only.setflags(write=False)
+    transposed = np.ascontiguousarray(c.T).T  # a non-contiguous view with c's entries
+    assert not transposed.flags.c_contiguous
+    for same in (c.tolist(), read_only, transposed):
+        assert np.array_equal(qcore.from_pauli_coefficients(same), want)
+
+
 def test_complex_coefficients_are_rejected_not_truncated():
     # the float copy would drop the imaginary part and build another state
     c = np.zeros((4, 4), dtype=complex)
@@ -338,6 +349,32 @@ def test_density_matrix_trace_and_hermiticity_tolerances():
             else:
                 with pytest.raises(ValueError, match=message):
                     qcore.DensityMatrix(m)
+
+
+def test_density_matrix_diagonal_hermiticity_tolerance():
+    # |m_ii - conj(m_ii)| = 2 |Im m_ii|: 0.4 tol on the diagonal passes and
+    # 0.75 tol fails, which a check of |Im m_ii| <= tol would let through
+    for im, accepted in ((0.4 * qcore.VALIDATE_TOL, True), (0.75 * qcore.VALIDATE_TOL, False)):
+        m = np.array([[0.5 + 1j * im, 0.1], [0.1, 0.5 - 1j * im]])
+        assert (oracles.density_matrix_failure(m) is None) == accepted
+        if accepted:
+            assert np.array_equal(qcore.DensityMatrix(m).matrix, m)
+        else:
+            with pytest.raises(ValueError, match="must be Hermitian"):
+                qcore.DensityMatrix(m)
+
+
+def test_density_matrix_names_hermiticity_before_positivity():
+    # the first pivot fails (m00 < 0) before the pass reaches the one
+    # non-Hermitian pair, in the last row; Hermiticity is still the verdict
+    m = np.diag([-0.1, 0.4, 0.4, 0.3]).astype(complex)
+    m[3, 2] = 0.1
+    assert oracles.density_matrix_failure(m) == "Hermitian"
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        qcore.DensityMatrix(m)
+    m[3, 2] = 0.0
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1"):
+        qcore.DensityMatrix(m)
 
 
 def test_is_hermitian_is_false_for_anything_but_a_square_matrix():

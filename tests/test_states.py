@@ -156,3 +156,16 @@ def test_build_matches_ket_oracle_entrywise():
     for family in families:
         rho = states.build(family)
         assert np.max(np.abs(rho.matrix - oracles.family_matrix(family))) < 1e-15, family
+
+
+def test_build_carries_the_closed_form_coefficients_over_4():
+    # bitwise: dividing the closed forms by 4 is exact
+    pure = np.diag([1.0, math.sin(0.6), math.sin(0.6), -1.0])
+    pure[3, 0], pure[0, 3] = math.cos(0.6), -math.cos(0.6)
+    for family, closed_form in (
+            (states.StateFamily.bell(), np.diag([1.0, 1.0, 1.0, -1.0])),
+            (states.StateFamily.werner(0.37), np.diag([1.0, 0.37, 0.37, -0.37])),
+            (states.StateFamily.colored(0.81), np.diag([1.0, 0.81, -0.81, 2 * 0.81 - 1])),
+            (states.StateFamily.pure(0.3), pure)):
+        carried = qcore.pauli_coefficients(states.build(family))
+        assert np.array_equal(carried, closed_form / 4), family
