@@ -2,7 +2,8 @@
 
 Submodules
 ----------
-qcore        2x2/4x4 linear algebra, Pauli coefficients and validated states
+qcore        Pauli matrices, 4x4 linear algebra, Pauli coefficients and
+             validated two-qubit states
 measurement  unsharp spin observables and the square roots of their effects
 witness      witness operators, sharpness modulation, separability checks
 states       the initial state families, their correlation strength g and its

@@ -6,11 +6,11 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` entries
 channels act as per-wing scalings and witness expectations as dot products.
 A state built by ``state_from_pauli_coefficients`` carries the coefficient
 array it is built from, and ``pauli_coefficients`` returns it without going
-back through the matrix.  ``DensityMatrix`` validates a state on its
-entries as Python complex numbers: the trace, then one pass over the rows
-that checks entrywise Hermiticity while it builds the Cholesky factor of
-m + ORACLE_TOL * I.  On 2x2 and 4x4 inputs that costs less than the
-dispatch of the numpy calls it replaces, and LAPACK runs only to name the
+back through the matrix.  ``DensityMatrix`` is a two-qubit (4x4) state,
+validated on its 16 entries as Python complex numbers: the trace, then one
+straight-line pass that checks entrywise Hermiticity while it builds the
+Cholesky factor of m + ORACLE_TOL * I.  That costs less than the dispatch
+of the numpy calls it replaces, and LAPACK runs only to name the
 eigenvalue of a rejected state.  The matrix values here, in ``witness``
 and in ``measurement`` are ``states._Record`` values equal by array
 entries (``_ArrayValue``).  The eigensolve and the matrix expectation
@@ -202,63 +202,87 @@ class _ArrayValue(_Record):
 
 
 class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
-    """A validated one- or two-qubit state.
+    """A validated two-qubit (4x4) state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
-    on one nested-list copy of the entries, so every state produced by a
-    channel in this package is certified.  After the trace, a single pass
-    checks Hermiticity and positivity together; a failure reports the trace
-    first, then Hermiticity, then the negative eigenvalue.  A two-qubit
-    state built by ``state_from_pauli_coefficients`` also carries the
-    read-only Pauli coefficient array it was built from, in the private
-    slot ``_coefficients``, and is pickled and copied through that function.
+    on the 16 entries unpacked from one nested-list copy, so every state
+    produced by a channel in this package is certified.  After the trace, a
+    single straight-line pass checks Hermiticity and positivity together; a
+    failure reports the trace first, then Hermiticity, then the negative
+    eigenvalue.  A state built by ``state_from_pauli_coefficients`` also
+    carries the read-only Pauli coefficient array it was built from, in the
+    private slot ``_coefficients``, and is pickled and copied through that
+    function.
     """
 
     __slots__ = ("matrix", "_coefficients")
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError("density matrix must be 2x2 or 4x4")
+        if m.shape != (4, 4):
+            raise ValueError("density matrix must be 4x4")
         rows = m.tolist()
-        trace = sum([rows[i][i] for i in range(len(rows))])
+        ((a00, a01, a02, a03), (a10, a11, a12, a13),
+         (a20, a21, a22, a23), (a30, a31, a32, a33)) = rows
+        trace = a00 + a11 + a22 + a33
         if abs(trace - 1.0) > VALIDATE_TOL:
             _reject(m, f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
-        # One pass checks Hermiticity and builds, row by row, the Cholesky
-        # factor L L^dag of m + ORACLE_TOL * I, which exists iff no eigenvalue
-        # is below -ORACLE_TOL.  Row i first checks |m[j][i] - conj(m[i][j])|
-        # for j <= i, so the factor reads only checked entries.  A pivot that
-        # is not > 0 (NaN included) fails positivity only once the remaining
-        # rows are Hermitian, and only a failure pays for the eigensolve that
-        # names the eigenvalue.
-        factor: list[list] = []
-        for i, row in enumerate(rows):
-            li = []
-            for j, lj in enumerate(factor):
-                s = row[j]
-                if not abs(rows[j][i] - s.conjugate()) <= VALIDATE_TOL:
-                    _reject(m, "density matrix must be Hermitian")
-                for k in range(j):
-                    s -= li[k] * lj[k].conjugate()
-                li.append(s / lj[j])
-            d = row[i]
-            if not abs(d - d.conjugate()) <= VALIDATE_TOL:
-                _reject(m, "density matrix must be Hermitian")
-            pivot = d.real + ORACLE_TOL
-            for x in li:
-                pivot -= x.real * x.real + x.imag * x.imag
-            if not pivot > 0.0:
-                if not _rows_hermitian(rows, VALIDATE_TOL):
-                    _reject(m, "density matrix must be Hermitian")
-                _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
-            li.append(math.sqrt(pivot))
-            factor.append(li)
+        # Row by row, the pass checks |m[j][i] - conj(m[i][j])| for the row's
+        # lower-triangle entries (diagonal included), then forms that row of
+        # the Cholesky factor L L^dag of m + ORACLE_TOL * I, which exists iff
+        # no eigenvalue is below -ORACLE_TOL; so the factor reads only checked
+        # entries.  A pivot that is not > 0 (NaN included) fails positivity
+        # only once every row is Hermitian, and only a failure pays for the
+        # eigensolve that names the eigenvalue.
+        tol = VALIDATE_TOL
+        if not abs(a00 - a00.conjugate()) <= tol:
+            _reject(m, "density matrix must be Hermitian")
+        p = a00.real + ORACLE_TOL
+        if not p > 0.0:
+            _not_positive(m, rows)
+        l00 = math.sqrt(p)
+        if not (abs(a01 - a10.conjugate()) <= tol and abs(a11 - a11.conjugate()) <= tol):
+            _reject(m, "density matrix must be Hermitian")
+        l10 = a10 / l00
+        p = a11.real + ORACLE_TOL - (l10.real * l10.real + l10.imag * l10.imag)
+        if not p > 0.0:
+            _not_positive(m, rows)
+        l11 = math.sqrt(p)
+        if not (abs(a02 - a20.conjugate()) <= tol and abs(a12 - a21.conjugate()) <= tol
+                and abs(a22 - a22.conjugate()) <= tol):
+            _reject(m, "density matrix must be Hermitian")
+        l20 = a20 / l00
+        l21 = (a21 - l20 * l10.conjugate()) / l11
+        p = (a22.real + ORACLE_TOL - (l20.real * l20.real + l20.imag * l20.imag)
+             - (l21.real * l21.real + l21.imag * l21.imag))
+        if not p > 0.0:
+            _not_positive(m, rows)
+        l22 = math.sqrt(p)
+        if not (abs(a03 - a30.conjugate()) <= tol and abs(a13 - a31.conjugate()) <= tol
+                and abs(a23 - a32.conjugate()) <= tol and abs(a33 - a33.conjugate()) <= tol):
+            _reject(m, "density matrix must be Hermitian")
+        l30 = a30 / l00
+        l31 = (a31 - l30 * l10.conjugate()) / l11
+        l32 = (a32 - l30 * l20.conjugate() - l31 * l21.conjugate()) / l22
+        p = (a33.real + ORACLE_TOL - (l30.real * l30.real + l30.imag * l30.imag)
+             - (l31.real * l31.real + l31.imag * l31.imag)
+             - (l32.real * l32.real + l32.imag * l32.imag))
+        if not p > 0.0:
+            _not_positive(m, rows)
         m.setflags(write=False)
         _set(self, "matrix", m)
 
     def __reduce__(self):
         c = getattr(self, "_coefficients", None)
         return (state_from_pauli_coefficients, (c,)) if c is not None else super().__reduce__()
+
+
+def _not_positive(m: np.ndarray, rows: list):
+    """Reject a state whose Cholesky pivot failed: as not Hermitian when any
+    entry pair fails that check, else by its lowest eigenvalue."""
+    if not _rows_hermitian(rows, VALIDATE_TOL):
+        _reject(m, "density matrix must be Hermitian")
+    _reject(m, f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
 
 
 def _reject(m: np.ndarray, message: str):

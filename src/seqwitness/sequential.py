@@ -202,11 +202,12 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
 
     With ``carry_states`` the loop also evolves the matrix state through the
     averaged channels, recording the state entering each stage; it decides
-    nothing.  Without it (the CLI, which prints no state) numpy never loads
-    and ``ChainReport.states`` is empty.
+    nothing, and the initial state is built only once a first stage is
+    recorded.  Without it (the CLI, which prints no state), or when no stage
+    detects, numpy never loads and ``ChainReport.states`` is empty.
     """
     g = states.correlation_strength(family)
-    rho = states.build(family) if carry_states else None
+    rho = None  # built when the first stage is recorded
     stages: list[tuple[float, float]] = []
     thresholds: list[float] = []
     strengths: list[float] = []
@@ -225,6 +226,8 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
         shrink = average_shrink(s)
         g *= shrink * shrink if two_sided else shrink
         if carry_states:
+            if rho is None:
+                rho = states.build(family)
             incoming.append(rho)
             if len(stages) != max_stages:  # no channel after the last stage
                 rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)

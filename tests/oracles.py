@@ -6,6 +6,7 @@ be checked against.  Nothing here imports ``seqwitness``; helpers take
 numpy arrays, numbers, or objects with the fields they read.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -106,6 +107,50 @@ def density_matrix_failure(m, validate_tol=1e-12, oracle_tol=1e-10):
         return "Hermitian"
     if np.linalg.eigvalsh(m)[0] < -oracle_tol:
         return "negative eigenvalue"
+    return None
+
+
+def density_matrix_verdict(m, validate_tol=1e-12, oracle_tol=1e-10):
+    """The message a candidate square state is rejected with, or None when it
+    is accepted, by a generic row loop over its entries as Python complex
+    numbers: the trace; then, row by row, Hermiticity of each pair up to the
+    diagonal and the Cholesky factor of m + oracle_tol I.  A failed pivot is
+    a Hermiticity failure when any pair fails, else names the lowest
+    eigenvalue; any non-finite entry turns a rejection into "non-finite
+    entries"."""
+    m = np.array(m, dtype=complex)
+    rows = m.tolist()
+
+    def reject(message):
+        finite = all(cmath.isfinite(z) for row in rows for z in row)
+        return message if finite else "density matrix has non-finite entries"
+
+    trace = sum([rows[i][i] for i in range(len(rows))])
+    if abs(trace - 1.0) > validate_tol:
+        return reject(f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
+    factor = []
+    for i, row in enumerate(rows):
+        li = []
+        for j, lj in enumerate(factor):
+            s = row[j]
+            if not abs(rows[j][i] - s.conjugate()) <= validate_tol:
+                return reject("density matrix must be Hermitian")
+            for k in range(j):
+                s -= li[k] * lj[k].conjugate()
+            li.append(s / lj[j])
+        d = row[i]
+        if not abs(d - d.conjugate()) <= validate_tol:
+            return reject("density matrix must be Hermitian")
+        pivot = d.real + oracle_tol
+        for x in li:
+            pivot -= x.real * x.real + x.imag * x.imag
+        if not pivot > 0.0:
+            if not all(abs(rows[a][b] - rows[b][a].conjugate()) <= validate_tol
+                       for a in range(len(rows)) for b in range(a, len(rows))):
+                return reject("density matrix must be Hermitian")
+            return reject(f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
+        li.append(math.sqrt(pivot))
+        factor.append(li)
     return None
 
 

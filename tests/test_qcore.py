@@ -278,7 +278,8 @@ def test_density_matrix_validation():
 
 
 @pytest.mark.parametrize("m", [np.full((4, 4), np.nan), np.diag([np.nan, 0.0, 0.0, 1.0]),
-                               np.diag([np.inf, 0.0, 0.0, 1.0]), np.full((2, 2), np.nan)])
+                               np.diag([np.inf, 0.0, 0.0, 1.0]),
+                               np.eye(4) / 4 + np.diag([np.nan], k=-3)])  # NaN at [3, 0] only
 def test_density_matrix_names_non_finite_entries(m):
     with pytest.raises(ValueError, match="non-finite entries"):
         qcore.DensityMatrix(m)
@@ -301,6 +302,16 @@ def test_density_matrix_negative_eigenvalue_threshold():
                 qcore.DensityMatrix(m)
 
 
+def _rotated_state(rng, lowest, trace):
+    """A bitwise-Hermitian 4x4 matrix with smallest eigenvalue ``lowest`` and
+    trace ``trace``, in a random unitary basis."""
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rest = rng.uniform(0.5, 1.5, size=3)
+    spectrum = np.concatenate(([lowest], rest * (trace - lowest) / rest.sum()))
+    m = u @ np.diag(spectrum.astype(complex)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
 # A drawn defect or lowest eigenvalue lies 1e-12 to 1e-9 beyond or within its
 # tolerance (log-uniform), never closer to it, since the scalar checks and the
 # numpy oracle may round differently there.
@@ -310,20 +321,15 @@ _FAILURE_MESSAGE = {"trace": "differs from 1", "Hermitian": "must be Hermitian",
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1), _DISTANCE, st.booleans(),
+@given(st.integers(0, 2**32 - 1), _DISTANCE, st.booleans(),
        st.sampled_from([None, "trace", "Hermitian", "imaginary diagonal"]),
        _DISTANCE, st.sampled_from([-1.0, 1.0]))
 def test_density_matrix_accepts_exactly_what_the_numpy_oracle_accepts(
-        dim, seed, distance, psd, flaw, excess, sign):
+        seed, distance, psd, flaw, excess, sign):
     rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     lowest = -qcore.ORACLE_TOL + (distance if psd else -distance)
     defect = qcore.VALIDATE_TOL + excess
-    trace = 1.0 + sign * defect if flaw == "trace" else 1.0
-    rest = rng.uniform(0.5, 1.5, size=dim - 1)
-    spectrum = np.concatenate(([lowest], rest * (trace - lowest) / rest.sum()))
-    m = u @ np.diag(spectrum.astype(complex)) @ u.conj().T
-    m = (m + m.conj().T) / 2  # bitwise Hermitian
+    m = _rotated_state(rng, lowest, 1.0 + sign * defect if flaw == "trace" else 1.0)
     if flaw == "Hermitian":
         m[0, 1] += 1j * sign * defect  # |m01 - conj(m10)| is the defect
     elif flaw == "imaginary diagonal":  # |m00 - conj(m00)| is the defect, the trace stays real
@@ -337,11 +343,75 @@ def test_density_matrix_accepts_exactly_what_the_numpy_oracle_accepts(
             qcore.DensityMatrix(m)
 
 
+def _verdict(m):
+    """The message DensityMatrix rejects ``m`` with, or None."""
+    try:
+        qcore.DensityMatrix(m)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _differential_matrices(rng, copies):
+    """Seeded 4x4 candidates, ``copies`` rounds of: a full-rank and a
+    rank-deficient state; four lowest eigenvalues of +-1e-11 to 1e-9; a unit
+    trace Hermitian matrix, mostly indefinite, as it is and off Hermitian at
+    one position; a state off Hermitian by 0.5 to 2 VALIDATE_TOL at each of
+    the 16 positions, and NaN, inf, -inf or an infinite imaginary part
+    there; a trace off 1 by 1e-13 to 1e-1, real or imaginary."""
+    for _ in range(copies):
+        yield oracles.random_density_matrix(rng, 4)
+        x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        low_rank = x[:, :rng.integers(1, 4)]
+        low_rank = low_rank @ low_rank.conj().T
+        yield low_rank / np.trace(low_rank).real
+        for _ in range(4):
+            yield _rotated_state(rng, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.0, -9.0), 1.0)
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = (x + x.conj().T) / 2
+        h += np.eye(4) * (1.0 - np.trace(h).real) / 4
+        yield h
+        h[rng.integers(4), rng.integers(4)] += 1e-3
+        yield h
+        rho = oracles.random_density_matrix(rng, 4)
+        for i in range(4):
+            for j in range(4):
+                # |m[i][j] - conj(m[j][i])| becomes the defect: on the
+                # diagonal twice the added imaginary part
+                defect = qcore.VALIDATE_TOL * rng.uniform(0.5, 2.0)
+                m = rho.copy()
+                m[i, j] += 0.5j * defect if i == j else defect * np.exp(2j * np.pi * rng.uniform())
+                yield m
+                for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+                    m = rho.copy()
+                    m[i, j] = bad
+                    yield m
+        off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -1.0)
+        yield rho * (1.0 + off)
+        m = rho.copy()
+        m[3, 3] += 1j * off
+        yield m
+
+
+def test_density_matrix_matches_the_row_loop_oracle_verdict_for_verdict():
+    rng = np.random.default_rng(31)
+    kinds = ("differs from 1", "must be Hermitian", "negative eigenvalue", "non-finite")
+    counts = dict.fromkeys((None,) + kinds, 0)
+    for m in _differential_matrices(rng, 60):
+        expected = oracles.density_matrix_verdict(m)
+        assert _verdict(m) == expected, m
+        counts[next((k for k in kinds if expected and k in expected), None)] += 1
+    assert sum(counts.values()) >= 5000
+    # every verdict, acceptance included, is reached many times
+    assert min(counts.values()) >= 100, counts
+
+
 def test_density_matrix_trace_and_hermiticity_tolerances():
     # half the tolerance passes, twice it fails, on either check
     for defect, accepted in ((0.5 * qcore.VALIDATE_TOL, True), (2 * qcore.VALIDATE_TOL, False)):
-        off_trace = np.diag([0.5 + defect, 0.5]).astype(complex)
-        skewed = np.array([[0.5, 0.1 + 1j * defect], [0.1, 0.5]])
+        off_trace = np.diag([0.25 + defect, 0.25, 0.25, 0.25]).astype(complex)
+        skewed = (np.eye(4) / 4).astype(complex)
+        skewed[0, 1], skewed[1, 0] = 0.1 + 1j * defect, 0.1
         for m, message in ((off_trace, "differs from 1"), (skewed, "must be Hermitian")):
             assert (oracles.density_matrix_failure(m) is None) == accepted
             if accepted:
@@ -355,7 +425,8 @@ def test_density_matrix_diagonal_hermiticity_tolerance():
     # |m_ii - conj(m_ii)| = 2 |Im m_ii|: 0.4 tol on the diagonal passes and
     # 0.75 tol fails, which a check of |Im m_ii| <= tol would let through
     for im, accepted in ((0.4 * qcore.VALIDATE_TOL, True), (0.75 * qcore.VALIDATE_TOL, False)):
-        m = np.array([[0.5 + 1j * im, 0.1], [0.1, 0.5 - 1j * im]])
+        m = np.diag([0.25 + 1j * im, 0.25 - 1j * im, 0.25, 0.25])
+        m[0, 1] = m[1, 0] = 0.1
         assert (oracles.density_matrix_failure(m) is None) == accepted
         if accepted:
             assert np.array_equal(qcore.DensityMatrix(m).matrix, m)
@@ -387,6 +458,6 @@ def test_is_hermitian_is_false_for_anything_but_a_square_matrix():
 
 
 def test_density_matrix_is_frozen():
-    dm = qcore.DensityMatrix(np.eye(2) / 2)
+    dm = qcore.DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError):
         dm.matrix[0, 0] = 0.9

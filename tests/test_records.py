@@ -28,6 +28,9 @@ _SCHEDULE_REPR = "SharpnessSchedule(stages=((0.9, 0.8), (1.0, 0.5)))"
 _CHAIN = sequential.greedy_symmetric(states.StateFamily.bell())
 _CHAIN_FIELDS = {name: getattr(_CHAIN, name) for name in sequential.ChainReport.__slots__}
 _PSI_PLUS = witness.witness_psi_plus().coefficients
+# m[0, 1] = 0.1 but m[1, 0] = 0.2: unit trace and not Hermitian
+_SKEWED = np.eye(4) / 4
+_SKEWED[0, 1], _SKEWED[1, 0] = 0.1, 0.2
 
 # (class, keyword arguments, a differing set, defaults of the omitted
 # keywords as (required keywords, expected field values), repr, invalid
@@ -112,15 +115,16 @@ _CASES = {
         (),
     ),
     "DensityMatrix": (
-        qcore.DensityMatrix, {"matrix": np.diag([0.75, 0.25])}, {"matrix": np.diag([0.25, 0.75])},
+        qcore.DensityMatrix, {"matrix": np.diag([0.75, 0.25, 0.0, 0.0])},
+        {"matrix": np.diag([0.25, 0.75, 0.0, 0.0])},
         None,
         "DensityMatrix()",
-        (({"matrix": np.eye(3) / 3}, "density matrix must be 2x2 or 4x4"),
-         ({"matrix": np.eye(2)}, "trace 2 differs from 1"),
-         ({"matrix": np.diag([1.0 + 0.5j, 0.0])}, "trace 1+0.5j differs from 1"),
-         ({"matrix": np.array([[0.5, 0.1], [0.2, 0.5]])}, "density matrix must be Hermitian"),
-         ({"matrix": np.diag([1.5, -0.5])}, "negative eigenvalue -0.5"),
-         ({"matrix": np.diag([np.nan, 1.0])}, "density matrix has non-finite entries")),
+        (({"matrix": np.eye(2) / 2}, "density matrix must be 4x4"),
+         ({"matrix": np.eye(4) / 2}, "trace 2 differs from 1"),
+         ({"matrix": np.diag([1.0 + 0.5j, 0.0, 0.0, 0.0])}, "trace 1+0.5j differs from 1"),
+         ({"matrix": _SKEWED}, "density matrix must be Hermitian"),
+         ({"matrix": np.diag([1.5, -0.5, 0.0, 0.0])}, "negative eigenvalue -0.5"),
+         ({"matrix": np.diag([np.nan, 1.0, 0.0, 0.0])}, "density matrix has non-finite entries")),
     ),
     "WitnessOperator": (
         witness.WitnessOperator, {"coefficients": _PSI_PLUS, "modulation": (0.5, 0.9)},
@@ -229,7 +233,8 @@ def test_matrix_layer_values_compare_and_hash_by_entries():
         (witness.modulate(psi_plus, 0.5, 0.9),
          witness.WitnessOperator(qcore.scale_wings(psi_plus.coefficients, 0.5, 0.9), (0.5, 0.9))),
         (states.build(states.StateFamily.werner(0.5)), states.build(states.StateFamily.werner(0.5))),
-        (qcore.DensityMatrix(np.diag([1.0, 0.0])), qcore.DensityMatrix(np.diag([1.0, -0.0]))),
+        (qcore.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0])),
+         qcore.DensityMatrix(np.diag([1.0, -0.0, 0.0, 0.0]))),
         (measurement.UnsharpObservable(measurement.Z_AXIS, 0.5),
          measurement.UnsharpObservable(np.array([-0.0, 0.0, 1.0]), 0.5)),
     ]
@@ -239,13 +244,13 @@ def test_matrix_layer_values_compare_and_hash_by_entries():
     unequal = [
         (psi_plus, witness.witness_phi_colored()),
         (psi_plus, witness.modulate(psi_plus, 1.0, 1.0)),
-        (qcore.DensityMatrix(np.eye(2) / 2), qcore.DensityMatrix(np.eye(4) / 4)),
+        (qcore.DensityMatrix(np.eye(4) / 4), qcore.DensityMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))),
         (measurement.UnsharpObservable(measurement.Z_AXIS, 0.5),
          measurement.UnsharpObservable(measurement.Z_AXIS, 0.6)),
     ]
     for a, b in unequal:
         assert a != b and not a == b
-    assert qcore.DensityMatrix(np.eye(2) / 2).__eq__(psi_plus) is NotImplemented
+    assert qcore.DensityMatrix(np.eye(4) / 4).__eq__(psi_plus) is NotImplemented
 
 
 def _arrays(value):
@@ -257,7 +262,7 @@ def _arrays(value):
 def test_copies_of_matrix_values_are_checked_again_and_read_only():
     psi_plus = witness.witness_psi_plus()
     values = (states.build(states.StateFamily.werner(0.5)),
-              qcore.DensityMatrix(np.diag([0.75, 0.25])),
+              qcore.DensityMatrix(np.diag([0.75, 0.25, 0.0, 0.0])),
               psi_plus, witness.modulate(psi_plus, 0.5, 0.9),
               measurement.UnsharpObservable(measurement.X_AXIS, 0.5))
     for value in values:
@@ -281,7 +286,7 @@ def test_copies_of_matrix_values_are_checked_again_and_read_only():
 def test_a_pickled_state_is_validated_on_load():
     # a pickle is rebuilt through the constructor, so tampered entries fail
     # its checks instead of coming back as a "validated" state
-    payload = pickle.dumps(qcore.DensityMatrix(np.diag([0.75, 0.25])))
+    payload = pickle.dumps(qcore.DensityMatrix(np.diag([0.75, 0.25, 0.0, 0.0])))
     entry = struct.pack("<d", 0.75)
     assert payload.count(entry) == 1
     with pytest.raises(ValueError, match=re.escape("trace 5.25 differs from 1")):

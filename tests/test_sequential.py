@@ -110,13 +110,16 @@ def test_violation_threshold_impossible():
 
 
 def test_violation_threshold_and_expectation_reject_one_qubit_states():
+    # a one-qubit state is refused as a DensityMatrix, and as a raw array by
+    # the Pauli coefficients both routes read
     w = witness.witness_psi_plus()
-    qubit = qcore.DensityMatrix(np.eye(2) / 2)
-    for bad in (qubit, qubit.matrix):
-        with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
-            seq.violation_threshold(w, bad)
-        with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
-            witness.expectation(w, bad)
+    qubit = np.eye(2) / 2
+    with pytest.raises(ValueError, match="density matrix must be 4x4"):
+        qcore.DensityMatrix(qubit)
+    with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
+        seq.violation_threshold(w, qubit)
+    with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
+        witness.expectation(w, qubit)
 
 
 def test_violation_threshold_rejects_modulated_witness():
@@ -440,6 +443,26 @@ def test_chain_states_carry_read_only_coefficients_of_their_matrix(family, chain
         with pytest.raises(ValueError):
             c[0, 0] = 0.0
         assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
+
+
+def test_chains_build_a_state_only_for_a_recorded_stage(monkeypatch):
+    built = []
+    init = qcore.DensityMatrix.__init__
+
+    def counting_init(self, matrix):
+        built.append(1)
+        init(self, matrix)
+
+    monkeypatch.setattr(qcore.DensityMatrix, "__init__", counting_init)
+    # colored p <= 0.5 has g <= 1: no stage detects, so no state is built
+    colored = states.StateFamily.colored(0.45)
+    for report in (seq.greedy_symmetric(colored), seq.greedy_asymmetric(2, colored)):
+        assert report.detected_stages == 0 and report.states == ()
+    assert built == []
+    # bell: the initial state, then one channel after each of its 3 stages
+    report = seq.greedy_symmetric(BELL)
+    assert report.detected_stages == 3 and len(report.states) == 3
+    assert len(built) == 1 + 3
 
 
 def test_run_symmetric_schedule_rejects_an_empty_schedule_before_any_channel(monkeypatch):
