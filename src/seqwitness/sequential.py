@@ -3,8 +3,9 @@
 Each observer pair measures one of three orthogonal spin directions with
 equal probability, so the state handed to the next pair is the setting- and
 outcome-averaged Lueders map.  It scales every Pauli coefficient on each
-measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3 (``qcore.scale_wings``,
-as in witness modulation); the Kraus sum is the tests' oracle.
+measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, the scaling of
+witness modulation (``qcore.scale_wings``) done on the 16 Python floats a
+state carries (``qcore._scaled_state``); the Kraus sum is the tests' oracle.
 
 The family witnesses see a state only through its correlation strength g
 (``states.correlation_strength``): a (xi, lam)-modulated witness has
@@ -46,16 +47,15 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     """Average post-measurement state after both wings measure.
 
     Pauli components shrink by average_shrink(xi) on the first wing and by
-    average_shrink(lam) on the second.  The test oracle is the 36-term
-    Kraus sum over 3 directions and 2 outcomes per wing of
+    average_shrink(lam) on the second, on Python floats.  The test oracle is
+    the 36-term Kraus sum over 3 directions and 2 outcomes per wing of
     (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
     # the channels run once per stage; an absolute import skips the
     # from-list handling that a relative one pays on every call
     import seqwitness.qcore as qcore
 
-    c = qcore.scale_wings(qcore.pauli_coefficients(rho), average_shrink(xi), average_shrink(lam))
-    return qcore.state_from_pauli_coefficients(c)
+    return qcore._scaled_state(rho, average_shrink(xi), average_shrink(lam))
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
@@ -67,8 +67,7 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     """
     import seqwitness.qcore as qcore
 
-    c = qcore.scale_wings(qcore.pauli_coefficients(rho), 1.0, average_shrink(lam))
-    return qcore.state_from_pauli_coefficients(c)
+    return qcore._scaled_state(rho, 1.0, average_shrink(lam))
 
 
 def violation_threshold(w: WitnessOperator, rho) -> float:

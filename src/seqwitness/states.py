@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # numpy and qcore load on the first state build
+if TYPE_CHECKING:  # qcore, and with it numpy, loads on the first state build
     from .qcore import DensityMatrix
 
 BELL = "bell"
@@ -138,25 +138,25 @@ def build(family: StateFamily) -> DensityMatrix:
     coefficients, which the state carries (times 4, order I, x, y, z):
     diag(1, p, p, -p) for werner (p = 1 for bell), diag(1, p, -p, 2p - 1)
     for colored, and for pure sin(2 theta) on xx and yy, -1 on zz and
-    +-cos(2 theta) on zI and Iz."""
-    import numpy as np
-
-    from .qcore import state_from_pauli_coefficients
+    +-cos(2 theta) on zI and Iz.  They are 16 Python floats, row-major, so
+    the state's arrays wait for their first read."""
+    # an absolute import skips the relative one's package lookup on every call
+    import seqwitness.qcore as qcore
 
     # the closed forms over 4 (a division by 4 is exact)
-    c = np.zeros((4, 4))
-    c[0, 0] = 0.25
+    zi = iz = 0.0
     if family.kind in (BELL, WERNER):
-        q = (1.0 if family.kind == BELL else family.param) / 4.0
-        c[1, 1], c[2, 2], c[3, 3] = q, q, -q
+        xx = yy = (1.0 if family.kind == BELL else family.param) / 4.0
+        zz = -xx
     elif family.kind == COLORED:
         p = family.param
-        c[1, 1], c[2, 2], c[3, 3] = p / 4.0, -p / 4.0, (2.0 * p - 1.0) / 4.0
+        xx, yy, zz = p / 4.0, -p / 4.0, (2.0 * p - 1.0) / 4.0
     else:
         s2, c2 = math.sin(2.0 * family.param), math.cos(2.0 * family.param)
-        c[1, 1], c[2, 2], c[3, 3] = s2 / 4.0, s2 / 4.0, -0.25
-        c[3, 0], c[0, 3] = c2 / 4.0, -c2 / 4.0
-    return state_from_pauli_coefficients(c)
+        xx = yy = s2 / 4.0
+        zz, zi, iz = -0.25, c2 / 4.0, -c2 / 4.0
+    return qcore._coefficient_state((0.25, 0.0, 0.0, iz, 0.0, xx, 0.0, 0.0,
+                                     0.0, 0.0, yy, 0.0, zi, 0.0, 0.0, zz))
 
 
 def concurrence_closed_form(family: StateFamily) -> float:

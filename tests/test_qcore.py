@@ -448,6 +448,59 @@ def test_density_matrix_names_hermiticity_before_positivity():
         qcore.DensityMatrix(m)
 
 
+def _coefficient_verdict(c):
+    """The message ``state_from_pauli_coefficients`` rejects ``c`` with, or None."""
+    try:
+        qcore.state_from_pauli_coefficients(c)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_coefficient_built_states_fail_as_matrix_built_ones_do():
+    # a coefficient-built state is validated on scalar entries with no array;
+    # each flaw, alone and paired, gets the message the matrix route gives:
+    # the trace before the eigenvalue, non-finite entries before either
+    off_trace = np.zeros((4, 4))
+    off_trace[0, 0] = 0.25  # the trace is 4 c[0, 0] = 2
+    t = 1.0 + 4e-9  # Bell diagonal: three eigenvalues (1 - t) / 4 = -1e-9
+    negative = np.diag([0.25, t / 4.0, t / 4.0, -t / 4.0])
+    nan = np.zeros((4, 4))
+    nan[1, 2] = np.nan  # reaches only the four entries of the xy term
+    cases = (
+        (off_trace + np.diag([0.25, 0.0, 0.0, 0.0]), "trace 2 differs from 1"),
+        (negative, "negative eigenvalue -1e-09"),
+        (np.diag([0.25, 0.0, 0.0, 0.0]) + nan, "density matrix has non-finite entries"),
+        (negative + off_trace, "trace 2 differs from 1"),
+        (negative + nan, "density matrix has non-finite entries"),
+        (off_trace * 2.0 + nan, "density matrix has non-finite entries"),
+    )
+    for c, message in cases:
+        assert _coefficient_verdict(c) == message
+        assert _verdict(qcore.from_pauli_coefficients(c)) == message
+        assert oracles.density_matrix_verdict(oracles.witness_matrix(c)) == message
+    # a tolerated lowest eigenvalue (-5e-11) still passes
+    t = 1.0 + 2e-10
+    assert _coefficient_verdict(np.diag([0.25, t / 4.0, t / 4.0, -t / 4.0])) is None
+
+
+def test_coefficient_built_state_makes_its_arrays_once_on_first_read():
+    c = np.random.default_rng(41).normal(scale=0.02, size=(4, 4))
+    c[0, 0] = 0.25
+    rho = qcore.state_from_pauli_coefficients(c)
+    assert rho.matrix is rho.matrix and qcore.pauli_coefficients(rho) is rho._coefficients
+    for array, dtype in ((rho.matrix, complex), (rho._coefficients, float)):
+        assert array.dtype == dtype and array.shape == (4, 4) and not array.flags.writeable
+    assert np.array_equal(rho._coefficients, c)
+    # one coefficient-to-matrix route: the state's matrix is from_pauli_coefficients'
+    assert np.array_equal(rho.matrix, qcore.from_pauli_coefficients(c))
+    assert np.max(np.abs(rho.matrix - oracles.witness_matrix(c))) < 1e-15
+    # the diagonal is real and each entry below it the conjugate of its mirror
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    with pytest.raises(AttributeError, match="no attribute 'spectrum'"):
+        rho.spectrum
+
+
 def test_is_hermitian_is_false_for_anything_but_a_square_matrix():
     assert not qcore.is_hermitian(np.array([1.0, 2.0]))
     assert not qcore.is_hermitian(np.zeros((2, 3)))

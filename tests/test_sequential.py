@@ -445,6 +445,65 @@ def test_chain_states_carry_read_only_coefficients_of_their_matrix(family, chain
         assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
 
 
+def _random_chain(rng):
+    """A seeded greedy chain over all four families, both layouts and both
+    rounding modes, with the number of leading two-sided stages (None: all)."""
+    kind = rng.choice(states.KINDS)
+    param = {states.BELL: None, states.WERNER: rng.uniform(0.4, 1.0),
+             states.COLORED: rng.uniform(0.55, 1.0),
+             states.PURE: rng.uniform(0.05, math.pi / 4)}[kind]
+    family = states.StateFamily(str(kind), param)
+    policy = seq.EpsilonPolicy(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05),
+                               bool(rng.integers(2)))
+    if rng.integers(2):
+        return seq.greedy_symmetric(family, policy), None
+    alices = int(rng.integers(1, 4))
+    return seq.greedy_asymmetric(alices, family, policy, max_bobs=20), alices - 1
+
+
+def test_chain_states_are_bitwise_the_numpy_route():
+    # every carried state's matrix is from_pauli_coefficients of its
+    # coefficients, both within 1e-15 of the term-by-term sum, and each
+    # channel scales the coefficients as the in-place numpy row and column
+    # scalings do, (c * first) * second, bit for bit
+    rng = np.random.default_rng(2024)
+    carried = 0
+    for _ in range(200):
+        report, two_sided_stages = _random_chain(rng)
+        coefficients = [qcore.pauli_coefficients(rho) for rho in report.states]
+        for rho, c in zip(report.states, coefficients):
+            assert np.array_equal(rho.matrix, qcore.from_pauli_coefficients(c))
+            assert np.max(np.abs(rho.matrix - oracles.witness_matrix(c))) <= 1e-15
+        for stage, (before, after) in enumerate(zip(coefficients, coefficients[1:]), 1):
+            xi, lam = report.schedule.stages[stage - 1]
+            two_sided = two_sided_stages is None or stage <= two_sided_stages
+            want = np.array(before)
+            want[1:, :] *= seq.average_shrink(xi) if two_sided else 1.0
+            want[:, 1:] *= seq.average_shrink(lam)
+            assert np.array_equal(after, want)
+        carried += len(report.states)
+    assert carried > 400
+
+
+class _NoNumpy:
+    """Stands in for numpy: any attribute read fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_chains_carry_states_without_numpy_and_build_arrays_on_read(monkeypatch):
+    monkeypatch.setattr(qcore, "np", _NoNumpy())
+    reports = (seq.greedy_symmetric(BELL), seq.greedy_asymmetric(2, states.StateFamily.werner(0.9)))
+    monkeypatch.undo()
+    for report in reports:
+        assert len(report.states) == report.detected_stages > 1
+        for rho in report.states:
+            m = rho.matrix
+            assert m.dtype == np.complex128 and m.shape == (4, 4) and not m.flags.writeable
+            assert rho.matrix is m
+
+
 def test_chains_build_a_state_only_for_a_recorded_stage(monkeypatch):
     built = []
     init = qcore.DensityMatrix.__init__
