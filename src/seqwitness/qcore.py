@@ -99,8 +99,8 @@ def pauli_coefficients(m) -> np.ndarray:
     """Real c[i, j] = Tr(sigma_i x sigma_j . m) / 4 of a Hermitian 4x4 operator
     m (a DensityMatrix or a raw array), inverting ``from_pauli_coefficients``.
 
-    A state built by ``state_from_pauli_coefficients`` returns the read-only
-    array it carries; any other input is computed from its matrix each call.
+    A state built from coefficients returns the read-only array it carries,
+    made on first read; any other input is computed from its matrix each call.
     """
     carried = getattr(m, "_coefficients", None)
     if carried is not None:
