@@ -463,8 +463,9 @@ def test_coefficient_built_states_fail_as_matrix_built_ones_do():
     # the trace before the eigenvalue, non-finite entries before either
     off_trace = np.zeros((4, 4))
     off_trace[0, 0] = 0.25  # the trace is 4 c[0, 0] = 2
-    t = 1.0 + 4e-9  # Bell diagonal: three eigenvalues (1 - t) / 4 = -1e-9
-    negative = np.diag([0.25, t / 4.0, t / 4.0, -t / 4.0])
+    # Bell diagonal with correlations (1/2, 1/2, d): the singlet weight
+    # (1 - 1/2 - 1/2 - d) / 4 = -1e-9 is its one negative eigenvalue
+    negative = np.diag([0.25, 0.125, 0.125, 1e-9])
     nan = np.zeros((4, 4))
     nan[1, 2] = np.nan  # reaches only the four entries of the xy term
     cases = (
@@ -480,8 +481,7 @@ def test_coefficient_built_states_fail_as_matrix_built_ones_do():
         assert _verdict(qcore.from_pauli_coefficients(c)) == message
         assert oracles.density_matrix_verdict(oracles.witness_matrix(c)) == message
     # a tolerated lowest eigenvalue (-5e-11) still passes
-    t = 1.0 + 2e-10
-    assert _coefficient_verdict(np.diag([0.25, t / 4.0, t / 4.0, -t / 4.0])) is None
+    assert _coefficient_verdict(np.diag([0.25, 0.125, 0.125, 5e-11])) is None
 
 
 def test_coefficient_built_state_makes_its_arrays_once_on_first_read():
