@@ -113,7 +113,10 @@ def pauli_coefficients(m) -> np.ndarray:
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     """The 4x4 operator sum_ij c[i, j] sigma_i x sigma_j for real ``c``."""
-    return np.array(_matrix_entries(np.asarray(c, dtype=float).reshape(16).tolist())).reshape(4, 4)
+    c = np.asarray(c)
+    if c.dtype.kind == "c":  # the float copy would drop the imaginary part
+        raise ValueError("Pauli coefficients must be real")
+    return np.array(_matrix_entries(c.astype(float).reshape(16).tolist())).reshape(4, 4)
 
 
 class _Entries(tuple):
@@ -152,8 +155,7 @@ def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
 
 
 def _coefficient_state(c: tuple) -> DensityMatrix:
-    """The validated state with the 16 real coefficients ``c``, row-major,
-    which it carries as they are; its arrays are built on first read."""
+    """The validated state with 16 real coefficients ``c``, which it carries."""
     rho = DensityMatrix(_matrix_entries(c))
     _set(rho, "_floats", c)
     return rho
@@ -311,8 +313,7 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
             m.setflags(write=False)
             _set(self, "matrix", m)
 
-    def __getattr__(self, name):
-        # only for an unset slot: a coefficient-built state's arrays, made once
+    def __getattr__(self, name):  # only for an unset slot
         if name not in ("matrix", "_coefficients"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         c = self._floats
@@ -327,9 +328,8 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
 
 
 def _reject(entries: list, message: str | None = None):
-    """Raise a failed check's ``message``; with none, a Cholesky pivot failed:
-    name a non-Hermitian pair, else the lowest eigenvalue.  Non-finite
-    entries, which fail every check, are named instead of either."""
+    """Raise ``message``, or after a failed pivot (no message) the Hermiticity
+    or lowest-eigenvalue verdict; non-finite entries are named instead."""
     m = np.array(entries, dtype=complex).reshape(4, 4)
     if not np.isfinite(m).all():
         message = "density matrix has non-finite entries"

@@ -141,6 +141,8 @@ def test_complex_coefficients_are_rejected_not_truncated():
             qcore.state_from_pauli_coefficients(c)
         with pytest.raises(ValueError, match="real 4x4"):
             qcore.state_from_pauli_coefficients(c.tolist())
+        with pytest.raises(ValueError, match="must be real"):
+            qcore.from_pauli_coefficients(c)
     # a complex array with zero imaginary parts is still refused: the dtype decides
     with pytest.raises(ValueError, match="real 4x4"):
         qcore.state_from_pauli_coefficients(c.real.astype(complex))
