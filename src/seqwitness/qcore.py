@@ -4,17 +4,17 @@ It is the one home of the Pauli product basis, index order (I, x, y, z), on
 whose real coefficients witness modulation and the averaged channels act as
 per-wing scalings and witness expectations as dot products.  Operators are
 ``numpy`` arrays of ``complex128`` entries (2x2 or 4x4), but a state built
-from coefficients runs on Python floats: it carries its 16 coefficients,
-``_matrix_entries`` writes its 16 entries from them, and its arrays are
-built on first read.  ``DensityMatrix`` is a two-qubit (4x4) state,
-validated on its 16 entries as Python numbers: the trace, then one
-straight-line pass that checks entrywise Hermiticity while it builds the
-Cholesky factor of m + ORACLE_TOL * I; LAPACK runs only to name the
-eigenvalue of a rejected state.  The matrix values here, in ``witness``
-and in ``measurement`` are ``states._Record`` values equal by array
-entries (``_ArrayValue``).  The eigensolve and the matrix expectation
-serve the tests and the bench tracer, and the Wootters concurrence the
-acceptance gate.
+from coefficients runs on Python floats: it carries its 16 coefficients, and
+its arrays are built on first read.  ``DensityMatrix`` is a two-qubit (4x4)
+state with one positivity kernel, ``_positive``: a straight-line Cholesky
+factor of m + ORACLE_TOL * I in real arithmetic on the diagonal and the
+entries below it, which a coefficient-built state sums from its coefficients
+and a matrix-built one reads after the trace and entrywise Hermiticity.
+LAPACK runs only to name the eigenvalue of a rejected state.  The matrix
+values here, in ``witness`` and in ``measurement`` are ``states._Record``
+values equal by array entries (``_ArrayValue``).  The eigensolve and the
+matrix expectation serve the tests and the bench tracer, and the Wootters
+concurrence the acceptance gate.
 """
 
 from __future__ import annotations
@@ -113,52 +113,58 @@ def pauli_coefficients(m) -> np.ndarray:
 
 def from_pauli_coefficients(c: np.ndarray) -> np.ndarray:
     """The 4x4 operator sum_ij c[i, j] sigma_i x sigma_j for real ``c``."""
+    return np.array(_matrix_entries(_real_4x4(c))).reshape(4, 4)
+
+
+def _real_4x4(c) -> list:
+    """Real 4x4 array ``c`` as 16 Python floats, row-major; any other shape or a
+    complex array, whose float copy would drop the imaginary parts, is refused."""
     c = np.asarray(c)
-    if c.dtype.kind == "c":  # the float copy would drop the imaginary part
-        raise ValueError("Pauli coefficients must be real")
-    return np.array(_matrix_entries(c.astype(float).reshape(16).tolist())).reshape(4, 4)
+    if c.dtype.kind == "c" or c.shape != (4, 4):
+        raise ValueError("Pauli coefficients must be real, in a real 4x4 array, "
+                         f"not a {c.dtype} array of shape {c.shape}")
+    return c.astype(float).ravel().tolist()
 
 
-class _Entries(tuple):
-    """16 entries, row-major: what ``DensityMatrix`` takes as they are."""
-    __slots__ = ()
-
-
-def _matrix_entries(c) -> _Entries:
-    """The entries of sum_ij c[i, j] sigma_i x sigma_j for 16 real ``c``, row-major:
-    sums of two to four coefficients, the diagonal real and each entry below
-    it the conjugate of its mirror, so the matrix is Hermitian bit for bit."""
+def _entry_parts(c) -> tuple:
+    """The diagonal of sum_ij c[i, j] sigma_i x sigma_j for 16 real ``c``, then the real
+    and imaginary parts of each entry below it, row-major: sums of two to four
+    coefficients, the first wing's I +- z blocks on the diagonal, x + i y below."""
     (c00, c01, c02, c03, c10, c11, c12, c13,
      c20, c21, c22, c23, c30, c31, c32, c33) = c
-    # the first wing's I +- z blocks on the diagonal, its x - i y block above
     p0, p3, q0, q3 = c00 + c30, c03 + c33, c00 - c30, c03 - c33
-    m01 = complex(c01 + c31, -(c02 + c32))
-    m23 = complex(c01 - c31, -(c02 - c32))
-    m02 = complex(c10 + c13, -(c20 + c23))
-    m13 = complex(c10 - c13, -(c20 - c23))
-    m03 = complex(c11 - c22, -(c12 + c21))
-    m12 = complex(c11 + c22, c12 - c21)
-    return _Entries((p0 + p3, m01, m02, m03,
-                     m01.conjugate(), p0 - p3, m12, m13,
-                     m02.conjugate(), m12.conjugate(), q0 + q3, m23,
-                     m03.conjugate(), m13.conjugate(), m23.conjugate(), q0 - q3))
+    return (p0 + p3, p0 - p3, q0 + q3, q0 - q3,
+            c01 + c31, c02 + c32, c10 + c13, c20 + c23, c11 + c22, -(c12 - c21),
+            c11 - c22, c12 + c21, c10 - c13, c20 - c23, c01 - c31, c02 - c32)
+
+
+def _matrix_entries(c) -> tuple:
+    """The 16 entries, row-major, with ``_entry_parts`` from ``c``: each entry
+    above the diagonal the conjugate of its mirror, Hermitian bit for bit."""
+    (d0, d1, d2, d3, r10, i10, r20, i20, r21, i21,
+     r30, i30, r31, i31, r32, i32) = _entry_parts(c)
+    m10, m20, m21 = complex(r10, i10), complex(r20, i20), complex(r21, i21)
+    m30, m31, m32 = complex(r30, i30), complex(r31, i31), complex(r32, i32)
+    return (d0, m10.conjugate(), m20.conjugate(), m30.conjugate(),
+            m10, d1, m21.conjugate(), m31.conjugate(),
+            m20, m21, d2, m32.conjugate(),
+            m30, m31, m32, d3)
 
 
 def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
     """The validated two-qubit state with Pauli coefficients ``c``, carrying a
     copy of ``c`` for ``pauli_coefficients``."""
-    c = np.asarray(c)
-    # a complex array would lose its imaginary part to the float copy
-    if c.dtype.kind == "c" or c.shape != (4, 4):
-        raise ValueError("Pauli coefficients must be a real 4x4 array")
-    return _coefficient_state(tuple(c.astype(float).ravel().tolist()))
+    return _coefficient_state(_real_4x4(c))
 
 
-def _coefficient_state(c: tuple) -> DensityMatrix:
+class _Coefficients(tuple):
+    """16 real Pauli coefficients, row-major, validated by ``DensityMatrix``."""
+    __slots__ = ()
+
+
+def _coefficient_state(c) -> DensityMatrix:
     """The validated state with 16 real coefficients ``c``, which it carries."""
-    rho = DensityMatrix(_matrix_entries(c))
-    _set(rho, "_floats", c)
-    return rho
+    return DensityMatrix(_Coefficients(c))
 
 
 def _scaled_state(rho, first: float, second: float) -> DensityMatrix:
@@ -177,7 +183,7 @@ def coefficient_expectation(c: np.ndarray, rho) -> float:
 def scale_wings(c: np.ndarray, first: float, second: float) -> np.ndarray:
     """Copy of coefficient array ``c`` with first-wing Pauli factors (rows 1:)
     scaled by ``first`` and second-wing ones (columns 1:) by ``second``."""
-    return np.array(_scale(np.asarray(c, float).ravel().tolist(), first, second)).reshape(4, 4)
+    return np.array(_scale(_real_4x4(c), first, second)).reshape(4, 4)
 
 
 def _scale(c, first: float, second: float) -> tuple:
@@ -242,76 +248,52 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
     """A validated two-qubit (4x4) state.
 
     Construction re-checks unit trace, Hermiticity and positivity each time,
-    on its 16 entries as Python numbers, so every state produced by a
-    channel in this package is certified.  After the trace, a single
-    straight-line pass checks Hermiticity and positivity together; a
-    failure reports the trace first, then Hermiticity, then the negative
-    eigenvalue.  A state built from Pauli coefficients carries them in the
-    private slot ``_floats``, makes its read-only ``matrix`` and
-    ``_coefficients`` arrays on first read, and is pickled and copied
-    through ``state_from_pauli_coefficients``.
+    so every state produced by a channel in this package is certified.  A
+    matrix is checked on its 16 entries as Python numbers: the trace, then
+    entrywise Hermiticity, then ``_positive``.  Pauli coefficients (a
+    ``_Coefficients`` tuple) need the trace and ``_positive`` only: real ones
+    give a real diagonal and exact mirror conjugates, so Hermiticity holds by
+    construction, and a non-finite one reaches a failed pivot.  A failure
+    names the trace, else Hermiticity, else the lowest eigenvalue, unless an
+    entry is non-finite.  Such a state carries its coefficients in the private
+    slot ``_floats``, makes its read-only ``matrix`` and ``_coefficients``
+    arrays on first read, and is pickled and copied through ``state_from_pauli_coefficients``.
     """
 
     __slots__ = ("matrix", "_coefficients", "_floats")
 
     def __init__(self, matrix: np.ndarray):
-        if type(matrix) is _Entries:  # from coefficients: no array until read
-            m, entries = None, matrix
-        else:
-            m = np.array(matrix, dtype=complex)
-            if m.shape != (4, 4):
-                raise ValueError("density matrix must be 4x4")
-            entries = m.ravel().tolist()
+        if type(matrix) is _Coefficients:  # Hermitian by construction
+            parts = _entry_parts(matrix)
+            trace = parts[0] + parts[1] + parts[2] + parts[3]
+            if abs(trace - 1.0) > VALIDATE_TOL:
+                _reject(_matrix_entries(matrix), f"trace {trace:.3g} differs from 1")
+            if not _positive(parts):
+                _reject(_matrix_entries(matrix))
+            _set(self, "_floats", matrix)
+            return
+        m = np.array(matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError("density matrix must be 4x4")
+        entries = m.ravel().tolist()
         (a00, a01, a02, a03, a10, a11, a12, a13,
          a20, a21, a22, a23, a30, a31, a32, a33) = entries
         trace = a00 + a11 + a22 + a33
         if abs(trace - 1.0) > VALIDATE_TOL:
             _reject(entries, f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
-        # Row by row, the pass checks |m[j][i] - conj(m[i][j])| for the row's
-        # lower-triangle entries (diagonal included), then forms that row of
-        # the Cholesky factor L L^dag of m + ORACLE_TOL * I, which exists iff
-        # no eigenvalue is below -ORACLE_TOL; so the factor reads only checked
-        # entries.  A pivot that is not > 0 (NaN included) fails positivity
-        # only once every row is Hermitian, which ``_reject`` checks when no
-        # message is given, and only a failure pays for the eigensolve.
-        tol = VALIDATE_TOL
-        if not abs(a00 - a00.conjugate()) <= tol:
+        tol = VALIDATE_TOL  # each |m[i][j] - conj(m[j][i])| up to the diagonal, NaN failing
+        if not (abs(a00 - a00.conjugate()) <= tol and abs(a11 - a11.conjugate()) <= tol
+                and abs(a22 - a22.conjugate()) <= tol and abs(a33 - a33.conjugate()) <= tol
+                and abs(a01 - a10.conjugate()) <= tol and abs(a02 - a20.conjugate()) <= tol
+                and abs(a03 - a30.conjugate()) <= tol and abs(a12 - a21.conjugate()) <= tol
+                and abs(a13 - a31.conjugate()) <= tol and abs(a23 - a32.conjugate()) <= tol):
             _reject(entries, "density matrix must be Hermitian")
-        p = a00.real + ORACLE_TOL
-        if not p > 0.0:
+        if not _positive((a00.real, a11.real, a22.real, a33.real,
+                          a10.real, a10.imag, a20.real, a20.imag, a21.real, a21.imag,
+                          a30.real, a30.imag, a31.real, a31.imag, a32.real, a32.imag)):
             _reject(entries)
-        l00 = math.sqrt(p)
-        if not (abs(a01 - a10.conjugate()) <= tol and abs(a11 - a11.conjugate()) <= tol):
-            _reject(entries, "density matrix must be Hermitian")
-        l10 = a10 / l00
-        p = a11.real + ORACLE_TOL - (l10.real * l10.real + l10.imag * l10.imag)
-        if not p > 0.0:
-            _reject(entries)
-        l11 = math.sqrt(p)
-        if not (abs(a02 - a20.conjugate()) <= tol and abs(a12 - a21.conjugate()) <= tol
-                and abs(a22 - a22.conjugate()) <= tol):
-            _reject(entries, "density matrix must be Hermitian")
-        l20 = a20 / l00
-        l21 = (a21 - l20 * l10.conjugate()) / l11
-        p = (a22.real + ORACLE_TOL - (l20.real * l20.real + l20.imag * l20.imag)
-             - (l21.real * l21.real + l21.imag * l21.imag))
-        if not p > 0.0:
-            _reject(entries)
-        l22 = math.sqrt(p)
-        if not (abs(a03 - a30.conjugate()) <= tol and abs(a13 - a31.conjugate()) <= tol
-                and abs(a23 - a32.conjugate()) <= tol and abs(a33 - a33.conjugate()) <= tol):
-            _reject(entries, "density matrix must be Hermitian")
-        l30 = a30 / l00
-        l31 = (a31 - l30 * l10.conjugate()) / l11
-        l32 = (a32 - l30 * l20.conjugate() - l31 * l21.conjugate()) / l22
-        p = (a33.real + ORACLE_TOL - (l30.real * l30.real + l30.imag * l30.imag)
-             - (l31.real * l31.real + l31.imag * l31.imag)
-             - (l32.real * l32.real + l32.imag * l32.imag))
-        if not p > 0.0:
-            _reject(entries)
-        if m is not None:
-            m.setflags(write=False)
-            _set(self, "matrix", m)
+        m.setflags(write=False)
+        _set(self, "matrix", m)
 
     def __getattr__(self, name):  # only for an unset slot
         if name not in ("matrix", "_coefficients"):
@@ -327,15 +309,47 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
         return (state_from_pauli_coefficients, (c,)) if c is not None else super().__reduce__()
 
 
-def _reject(entries: list, message: str | None = None):
-    """Raise ``message``, or after a failed pivot (no message) the Hermiticity
-    or lowest-eigenvalue verdict; non-finite entries are named instead."""
+def _positive(parts: tuple) -> bool:
+    """Whether Hermitian m with ``_entry_parts`` ``parts`` has no eigenvalue below
+    -ORACLE_TOL: the row-wise Cholesky factor of m + ORACLE_TOL I, each complex l
+    as (x, y), in complex arithmetic's operation order.  A pivot that is not > 0
+    fails, and a non-finite part that passed the trace check makes one -inf or NaN."""
+    (d0, d1, d2, d3, r10, i10, r20, i20, r21, i21,
+     r30, i30, r31, i31, r32, i32) = parts
+    p = d0 + ORACLE_TOL
+    if not p > 0.0:
+        return False
+    l00 = math.sqrt(p)
+    x10, y10 = r10 / l00, i10 / l00
+    p = d1 + ORACLE_TOL - (x10 * x10 + y10 * y10)
+    if not p > 0.0:
+        return False
+    l11 = math.sqrt(p)
+    x20, y20 = r20 / l00, i20 / l00
+    x21 = (r21 - (x20 * x10 + y20 * y10)) / l11
+    y21 = (i21 - (y20 * x10 - x20 * y10)) / l11
+    p = d2 + ORACLE_TOL - (x20 * x20 + y20 * y20) - (x21 * x21 + y21 * y21)
+    if not p > 0.0:
+        return False
+    l22 = math.sqrt(p)
+    # l_ij = (m_ij - sum_k<j l_ik conj(l_jk)) / l_jj
+    x30, y30 = r30 / l00, i30 / l00
+    x31 = (r31 - (x30 * x10 + y30 * y10)) / l11
+    y31 = (i31 - (y30 * x10 - x30 * y10)) / l11
+    x32 = (r32 - (x30 * x20 + y30 * y20) - (x31 * x21 + y31 * y21)) / l22
+    y32 = (i32 - (y30 * x20 - x30 * y20) - (y31 * x21 - x31 * y21)) / l22
+    p = (d3 + ORACLE_TOL - (x30 * x30 + y30 * y30) - (x31 * x31 + y31 * y31)
+         - (x32 * x32 + y32 * y32))
+    return p > 0.0
+
+
+def _reject(entries, message: str | None = None):
+    """Raise ``message``, or the lowest eigenvalue if none, naming non-finite entries first."""
     m = np.array(entries, dtype=complex).reshape(4, 4)
     if not np.isfinite(m).all():
         message = "density matrix has non-finite entries"
     elif message is None:
-        message = ("density matrix must be Hermitian" if not is_hermitian(m)
-                   else f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}")
+        message = f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3g}"
     raise ValueError(message) from None
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -484,6 +485,85 @@ def test_coefficient_built_states_fail_as_matrix_built_ones_do():
         assert oracles.density_matrix_verdict(oracles.witness_matrix(c)) == message
     # a tolerated lowest eigenvalue (-5e-11) still passes
     assert _coefficient_verdict(np.diag([0.25, 0.125, 0.125, 5e-11])) is None
+
+
+# sigma_i x sigma_j, (I, x, y, z) order, row 4i + j: reads a matrix's Pauli
+# coefficients as Tr(sigma_i x sigma_j . m) / 4
+_ORACLE_BASIS = np.array([oracles.kron4(a, b) for a in oracles.PAULIS.values()
+                          for b in oracles.PAULIS.values()])
+
+
+def _coefficients_of(m):
+    return np.einsum("kij,ji->k", _ORACLE_BASIS, m).real.reshape(4, 4) / 4.0
+
+
+def _differential_coefficients(rng, copies):
+    """Seeded real 4x4 coefficient arrays, ``copies`` rounds of: a full-rank
+    and a rank-deficient state; four states with lowest eigenvalue 1e-12 to
+    1e-9 either side of -ORACLE_TOL; four states with a trace off 1 by 1e-13
+    to 1e-1; a state with NaN, inf or -inf (in turn over the rounds) at each
+    of the 16 positions."""
+    for copy in range(copies):
+        yield _coefficients_of(oracles.random_density_matrix(rng, 4))
+        x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        low_rank = x[:, :rng.integers(1, 4)]
+        low_rank = low_rank @ low_rank.conj().T
+        yield _coefficients_of(low_rank / np.trace(low_rank).real)
+        for _ in range(4):
+            distance = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -9.0)
+            yield _coefficients_of(_rotated_state(rng, -qcore.ORACLE_TOL + distance, 1.0))
+        for _ in range(4):
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -1.0)
+            yield _coefficients_of(oracles.random_density_matrix(rng, 4)) * (1.0 + off)
+        c = _coefficients_of(oracles.random_density_matrix(rng, 4))
+        for position in range(16):
+            bad = c.copy()
+            bad.flat[position] = (np.nan, np.inf, -np.inf)[copy % 3]
+            yield bad
+
+
+def test_coefficient_route_matches_the_matrix_route_and_the_oracle_verdict_for_verdict():
+    # the coefficient route checks no Hermiticity and names no entry until it
+    # rejects; its verdicts are the matrix route's and the row-loop oracle's
+    rng = np.random.default_rng(37)
+    kinds = ("differs from 1", "negative eigenvalue", "non-finite")
+    counts = dict.fromkeys((None,) + kinds, 0)
+    for c in _differential_coefficients(rng, 200):
+        expected = _coefficient_verdict(c)
+        assert _verdict(qcore.from_pauli_coefficients(c)) == expected, c
+        with np.errstate(invalid="ignore"):  # inf * 0 in the term-by-term sum
+            assert oracles.density_matrix_verdict(oracles.witness_matrix(c)) == expected, c
+        counts[next((k for k in kinds if expected and k in expected), None)] += 1
+    assert sum(counts.values()) >= 5000
+    # every verdict, acceptance included, is reached many times
+    assert min(counts.values()) >= 100, counts
+
+
+def test_channel_output_is_certified():
+    bell = build(StateFamily.bell())
+    # scaling a pure Bell state's correlations by 1.01 moves its three zero
+    # eigenvalues to (1 - 1.01) / 4: the channel's output is refused
+    with pytest.raises(ValueError, match="negative eigenvalue -0.0025"):
+        qcore._scaled_state(bell, 1.01, 1.0)
+    same = qcore._scaled_state(bell, 1.0, 1.0)
+    assert np.array(same._floats).tobytes() == np.array(bell._floats).tobytes()
+
+
+def test_coefficient_readers_refuse_complex_and_non_4x4_arrays():
+    readers = (qcore.from_pauli_coefficients, qcore.state_from_pauli_coefficients,
+               lambda c: qcore.scale_wings(c, 1.0, 1.0))
+    c = np.diag([0.25, 0.0, 0.0, 0.0])
+    complex_c = c.astype(complex)
+    complex_c[1, 2] = 0.1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before the refusal
+        for read in readers:
+            with pytest.raises(ValueError, match=re.escape("not a complex128 array of shape (4, 4)")):
+                read(complex_c)
+            for bad in (c.reshape(16), c.reshape(2, 8), np.eye(2) / 2):
+                message = f"real 4x4 array, not a float64 array of shape {bad.shape}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    read(bad)
 
 
 def test_coefficient_built_state_makes_its_arrays_once_on_first_read():
