@@ -169,9 +169,10 @@ def _coefficient_state(c) -> DensityMatrix:
 
 def _scaled_state(rho, first: float, second: float) -> DensityMatrix:
     """The state whose coefficients are those of ``rho`` scaled as by
-    ``scale_wings``, worked on Python floats: the averaged channels' route."""
+    ``scale_wings``, worked on Python floats: the averaged channels' route,
+    which hands the ``_Coefficients`` of ``_scale`` straight to ``DensityMatrix``."""
     c = getattr(rho, "_floats", None) or pauli_coefficients(rho).reshape(16).tolist()
-    return _coefficient_state(_scale(c, first, second))
+    return DensityMatrix(_scale(c, first, second))
 
 
 def coefficient_expectation(c: np.ndarray, rho) -> float:
@@ -186,15 +187,16 @@ def scale_wings(c: np.ndarray, first: float, second: float) -> np.ndarray:
     return np.array(_scale(_real_4x4(c), first, second)).reshape(4, 4)
 
 
-def _scale(c, first: float, second: float) -> tuple:
+def _scale(c, first: float, second: float) -> _Coefficients:
     """``scale_wings`` on the 16 coefficients ``c``, row-major, as Python
-    floats; an entry on both wings is (c * first) * second."""
+    floats, in the ``_Coefficients`` a state is built from; an entry on both
+    wings is (c * first) * second."""
     (c00, c01, c02, c03, c10, c11, c12, c13,
      c20, c21, c22, c23, c30, c31, c32, c33) = c
-    return (c00, c01 * second, c02 * second, c03 * second,
+    return _Coefficients((c00, c01 * second, c02 * second, c03 * second,
             c10 * first, c11 * first * second, c12 * first * second, c13 * first * second,
             c20 * first, c21 * first * second, c22 * first * second, c23 * first * second,
-            c30 * first, c31 * first * second, c32 * first * second, c33 * first * second)
+            c30 * first, c31 * first * second, c32 * first * second, c33 * first * second))
 
 
 def expectation(obs: np.ndarray, rho) -> float:
@@ -270,7 +272,7 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
                 _reject(_matrix_entries(matrix), f"trace {trace:.3g} differs from 1")
             if not _positive(parts):
                 _reject(_matrix_entries(matrix))
-            _set(self, "_floats", matrix)
+            _set_floats(self, matrix)
             return
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
@@ -307,6 +309,11 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
     def __reduce__(self):
         c = getattr(self, "_floats", None) and self._coefficients
         return (state_from_pauli_coefficients, (c,)) if c is not None else super().__reduce__()
+
+
+# the slot setter, which bypasses the refusing __setattr__ faster than
+# object.__setattr__, as for states.StateFamily
+_set_floats = DensityMatrix._floats.__set__
 
 
 def _positive(parts: tuple) -> bool:

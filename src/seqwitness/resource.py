@@ -10,6 +10,7 @@ measurement robustness.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import states
 from .sequential import (ChainReport, SharpnessSchedule, _run_chain, _symmetric_edge_before,
@@ -205,7 +206,7 @@ def solve_matching_parameter(kind: str, schedule: SharpnessSchedule,
 
 def entanglement_budget(family: states.StateFamily, copies: int) -> float:
     """Total entanglement consumed: copies times the state's concurrence."""
-    if copies < 1:
+    if operator.index(copies) < 1:
         raise ValueError("need at least one copy")
     return copies * states.concurrence_closed_form(family)
 
@@ -250,7 +251,7 @@ def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, .
 
 def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
                    copies: int = 3) -> NonSequentialSolution:
-    if copies < 1:
+    if operator.index(copies) < 1:
         raise ValueError("need at least one copy")
     if not (math.isfinite(ebit_budget) and math.isfinite(target_detectability)):
         raise ValueError("ebit budget and target detectability must be finite")

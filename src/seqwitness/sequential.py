@@ -6,6 +6,8 @@ outcome-averaged Lueders map.  It scales every Pauli coefficient on each
 measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, the scaling of
 witness modulation (``qcore.scale_wings``) done on the 16 Python floats a
 state carries (``qcore._scaled_state``); the Kraus sum is the tests' oracle.
+The channels and ``states.build`` reach ``qcore`` through ``states._qcore``,
+which imports it, and numpy, on the first state a chain builds and keeps it.
 
 The family witnesses see a state only through its correlation strength g
 (``states.correlation_strength``): a (xi, lam)-modulated witness has
@@ -27,7 +29,7 @@ import operator
 from typing import TYPE_CHECKING
 
 from . import states
-from .states import _set
+from .states import _qcore
 
 if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
     from .qcore import DensityMatrix
@@ -51,11 +53,9 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     the 36-term Kraus sum over 3 directions and 2 outcomes per wing of
     (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
-    # the channels run once per stage; an absolute import skips the
-    # from-list handling that a relative one pays on every call
-    import seqwitness.qcore as qcore
-
-    return qcore._scaled_state(rho, average_shrink(xi), average_shrink(lam))
+    # the channels run once per stage, so they reach qcore through the one
+    # reference states keeps, not through an import statement on every call
+    return _qcore()._scaled_state(rho, average_shrink(xi), average_shrink(lam))
 
 
 def average_one_sided(rho, lam: float) -> DensityMatrix:
@@ -65,9 +65,7 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     first-wing scale of 1.0 is exact; the test oracle is the 6-term Kraus sum
     of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
     """
-    import seqwitness.qcore as qcore
-
-    return qcore._scaled_state(rho, 1.0, average_shrink(lam))
+    return _qcore()._scaled_state(rho, 1.0, average_shrink(lam))
 
 
 def violation_threshold(w: WitnessOperator, rho) -> float:
@@ -108,12 +106,11 @@ class EpsilonPolicy(states._Record):
 
     def __init__(self, first_stage_slack: float = 1e-2, later_stage_slack: float = 1e-2,
                  paper_rounding: bool = False):
-        for s in (first_stage_slack, later_stage_slack):
-            if not 0.0 <= s < 0.1:
-                raise ValueError("stage slack must lie in [0, 0.1)")
-        _set(self, "first_stage_slack", first_stage_slack)
-        _set(self, "later_stage_slack", later_stage_slack)
-        _set(self, "paper_rounding", paper_rounding)
+        if not (0.0 <= first_stage_slack < 0.1 and 0.0 <= later_stage_slack < 0.1):  # NaN fails
+            raise ValueError("stage slack must lie in [0, 0.1)")
+        _set_first_stage_slack(self, first_stage_slack)
+        _set_later_stage_slack(self, later_stage_slack)
+        _set_paper_rounding(self, paper_rounding)
 
     @classmethod
     def asymmetric_default(cls, paper_rounding: bool = False) -> "EpsilonPolicy":
@@ -144,7 +141,7 @@ class SharpnessSchedule(states._Record):
         for xi, lam in stages:
             if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
                 raise ValueError("schedule entries must lie in (0, 1]")
-        _set(self, "stages", stages)
+        _set_stages(self, stages)
 
 
 class ChainReport(states._Record, repr_omit=("states",)):
@@ -165,12 +162,26 @@ class ChainReport(states._Record, repr_omit=("states",)):
     def __init__(self, family: states.StateFamily, detected_stages: int,
                  schedule: SharpnessSchedule, thresholds: tuple[float, ...],
                  strengths: tuple[float, ...], states: tuple[DensityMatrix, ...]):
-        _set(self, "family", family)
-        _set(self, "detected_stages", detected_stages)
-        _set(self, "schedule", schedule)
-        _set(self, "thresholds", thresholds)
-        _set(self, "strengths", strengths)
-        _set(self, "states", states)
+        _set_family(self, family)
+        _set_detected_stages(self, detected_stages)
+        _set_schedule(self, schedule)
+        _set_thresholds(self, thresholds)
+        _set_strengths(self, strengths)
+        _set_states(self, states)
+
+
+# the slot setters, which bypass the refusing __setattr__ on construction
+# faster than object.__setattr__, as for states.StateFamily
+_set_first_stage_slack = EpsilonPolicy.first_stage_slack.__set__
+_set_later_stage_slack = EpsilonPolicy.later_stage_slack.__set__
+_set_paper_rounding = EpsilonPolicy.paper_rounding.__set__
+_set_stages = SharpnessSchedule.stages.__set__
+_set_family = ChainReport.family.__set__
+_set_detected_stages = ChainReport.detected_stages.__set__
+_set_schedule = ChainReport.schedule.__set__
+_set_thresholds = ChainReport.thresholds.__set__
+_set_strengths = ChainReport.strengths.__set__
+_set_states = ChainReport.states.__set__
 
 
 def _grid_ceil(x: float) -> float:

@@ -10,7 +10,8 @@ from kets is the tests' oracle.
 Loading this module imports only ``math``.  ``_Record`` is the frozen
 ``__slots__`` base of every value class in the package, in place of
 dataclasses, so nothing in the package loads ``dataclasses``.  numpy and
-``qcore`` load on the first ``build``.
+``qcore`` load on the first ``build``, through ``_qcore``, which keeps the
+module for every later state build and averaged channel.
 """
 
 from __future__ import annotations
@@ -133,6 +134,19 @@ _set_kind = StateFamily.kind.__set__
 _set_param = StateFamily.param.__set__
 
 
+_qcore_module = None
+
+
+def _qcore():
+    """The ``qcore`` module, imported on the first call, which loads numpy, and
+    kept: state builds and the averaged channels run once per chain stage, and
+    a global read costs less than an import statement on every call."""
+    global _qcore_module
+    if _qcore_module is None:
+        from . import qcore as _qcore_module
+    return _qcore_module
+
+
 def build(family: StateFamily) -> DensityMatrix:
     """The family's validated 4x4 state, written from its closed-form Pauli
     coefficients, which the state carries (times 4, order I, x, y, z):
@@ -140,9 +154,6 @@ def build(family: StateFamily) -> DensityMatrix:
     for colored, and for pure sin(2 theta) on xx and yy, -1 on zz and
     +-cos(2 theta) on zI and Iz.  They are 16 Python floats, row-major, so
     the state's arrays wait for their first read."""
-    # an absolute import skips the relative one's package lookup on every call
-    import seqwitness.qcore as qcore
-
     # the closed forms over 4 (a division by 4 is exact)
     zi = iz = 0.0
     if family.kind in (BELL, WERNER):
@@ -155,8 +166,9 @@ def build(family: StateFamily) -> DensityMatrix:
         s2, c2 = math.sin(2.0 * family.param), math.cos(2.0 * family.param)
         xx = yy = s2 / 4.0
         zz, zi, iz = -0.25, c2 / 4.0, -c2 / 4.0
-    return qcore._coefficient_state((0.25, 0.0, 0.0, iz, 0.0, xx, 0.0, 0.0,
-                                     0.0, 0.0, yy, 0.0, zi, 0.0, 0.0, zz))
+    # the one kept qcore reference, not an import statement per chain
+    return _qcore()._coefficient_state((0.25, 0.0, 0.0, iz, 0.0, xx, 0.0, 0.0,
+                                         0.0, 0.0, yy, 0.0, zi, 0.0, 0.0, zz))
 
 
 def concurrence_closed_form(family: StateFamily) -> float:

@@ -49,7 +49,9 @@ _CASES = {
         ({}, {"first_stage_slack": 1e-2, "later_stage_slack": 1e-2, "paper_rounding": False}),
         "EpsilonPolicy(first_stage_slack=0.02, later_stage_slack=0.0, paper_rounding=True)",
         (({"first_stage_slack": 0.1}, "stage slack must lie in [0, 0.1)"),
-         ({"later_stage_slack": -0.01}, "stage slack must lie in [0, 0.1)")),
+         ({"later_stage_slack": -0.01}, "stage slack must lie in [0, 0.1)"),
+         ({"first_stage_slack": float("nan")}, "stage slack must lie in [0, 0.1)"),
+         ({"later_stage_slack": float("nan")}, "stage slack must lie in [0, 0.1)")),
     ),
     "SharpnessSchedule": (
         sequential.SharpnessSchedule, {"stages": ((0.9, 0.8), (1.0, 0.5))},

@@ -497,6 +497,18 @@ def test_min_rom_needs_a_copy(copies):
         resource._solve_min_rom("pure", 1.0, -0.20, copies)
 
 
+@pytest.mark.parametrize("copies", [2.5, 3.0])
+@pytest.mark.parametrize("run", [
+    lambda copies: resource.entanglement_budget(states.StateFamily.werner(0.9), copies),
+    lambda copies: resource.min_total_rom("werner", 1.0, -0.20, copies=copies),
+], ids=["entanglement_budget", "min_total_rom"])
+def test_non_integral_copy_counts_are_refused(run, copies):
+    # the budget would otherwise price 2.5 copies, and the minimization fail
+    # deep in its fill on a float count
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run(copies)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", ["werner", "colored", "pure"])
 def test_min_rom_rejects_non_finite_input(kind, value):

@@ -522,6 +522,17 @@ def test_chains_build_a_state_only_for_a_recorded_stage(monkeypatch):
     report = seq.greedy_symmetric(BELL)
     assert report.detected_stages == 3 and len(report.states) == 3
     assert len(built) == 1 + 3
+    # the one-sided route: bell with 2 Alices detects 8 Bobs and ends at an
+    # infeasible ninth stage, so a channel follows each of the 8 stages
+    del built[:]
+    report = seq.greedy_asymmetric(2, BELL, max_bobs=20)
+    assert report.detected_stages == 8 and len(report.states) == 8
+    assert len(built) == 1 + 8
+    # capped at its last detecting stage, no channel follows that stage
+    del built[:]
+    report = seq.greedy_asymmetric(2, BELL, max_bobs=8)
+    assert report.detected_stages == 8 and len(report.states) == 8
+    assert len(built) == 1 + 7
 
 
 def test_run_symmetric_schedule_rejects_an_empty_schedule_before_any_channel(monkeypatch):
