@@ -193,10 +193,11 @@ def _scale(c, first: float, second: float) -> _Coefficients:
     wings is (c * first) * second."""
     (c00, c01, c02, c03, c10, c11, c12, c13,
      c20, c21, c22, c23, c30, c31, c32, c33) = c
-    return _Coefficients((c00, c01 * second, c02 * second, c03 * second,
-            c10 * first, c11 * first * second, c12 * first * second, c13 * first * second,
-            c20 * first, c21 * first * second, c22 * first * second, c23 * first * second,
-            c30 * first, c31 * first * second, c32 * first * second, c33 * first * second))
+    return _Coefficients((
+        c00, c01 * second, c02 * second, c03 * second,
+        c10 * first, c11 * first * second, c12 * first * second, c13 * first * second,
+        c20 * first, c21 * first * second, c22 * first * second, c23 * first * second,
+        c30 * first, c31 * first * second, c32 * first * second, c33 * first * second))
 
 
 def expectation(obs: np.ndarray, rho) -> float:
