@@ -319,15 +319,9 @@ def _cmd_compare(parser, args) -> int:
     return EXIT_OK
 
 
-def _witness_value(family: states.StateFamily, xi: float, lam: float) -> float:
-    """Expectation of the family witness, modulated by (xi, lam), on the
-    family's state: (1 - xi lam g) / 4 with g its correlation strength."""
-    return (1.0 - xi * lam * states.correlation_strength(family)) / 4.0
-
-
 def _cmd_witness_eval(parser, args) -> int:
     family = _family_from_args(parser, args)
-    value = _witness_value(family, args.xi, args.lam)
+    value = states.witness_value(states.correlation_strength(family), args.xi, args.lam)
     d = args.digits
     if args.format == "json":
         payload = {"state": family.kind, "parameter": family.param,

@@ -253,7 +253,7 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
     Construction re-checks unit trace, Hermiticity and positivity each time,
     so every state produced by a channel in this package is certified.  A
     matrix is checked on its 16 entries as Python numbers: the trace, then
-    entrywise Hermiticity, then ``_positive``.  Pauli coefficients (a
+    ``is_hermitian``, then ``_positive``.  Pauli coefficients (a
     ``_Coefficients`` tuple) need the trace and ``_positive`` only: real ones
     give a real diagonal and exact mirror conjugates, so Hermiticity holds by
     construction, and a non-finite one reaches a failed pivot.  A failure
@@ -279,17 +279,11 @@ class DensityMatrix(_ArrayValue, repr_omit=("matrix",)):
         if m.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         entries = m.ravel().tolist()
-        (a00, a01, a02, a03, a10, a11, a12, a13,
-         a20, a21, a22, a23, a30, a31, a32, a33) = entries
+        (a00, _, _, _, a10, a11, _, _, a20, a21, a22, _, a30, a31, a32, a33) = entries
         trace = a00 + a11 + a22 + a33
         if abs(trace - 1.0) > VALIDATE_TOL:
             _reject(entries, f"trace {trace if trace.imag else trace.real:.3g} differs from 1")
-        tol = VALIDATE_TOL  # each |m[i][j] - conj(m[j][i])| up to the diagonal, NaN failing
-        if not (abs(a00 - a00.conjugate()) <= tol and abs(a11 - a11.conjugate()) <= tol
-                and abs(a22 - a22.conjugate()) <= tol and abs(a33 - a33.conjugate()) <= tol
-                and abs(a01 - a10.conjugate()) <= tol and abs(a02 - a20.conjugate()) <= tol
-                and abs(a03 - a30.conjugate()) <= tol and abs(a12 - a21.conjugate()) <= tol
-                and abs(a13 - a31.conjugate()) <= tol and abs(a23 - a32.conjugate()) <= tol):
+        if not is_hermitian(m):
             _reject(entries, "density matrix must be Hermitian")
         if not _positive((a00.real, a11.real, a22.real, a33.real,
                           a10.real, a10.imag, a20.real, a20.imag, a21.real, a21.imag,

@@ -13,8 +13,8 @@ import math
 import operator
 
 from . import states
-from .sequential import (ChainReport, SharpnessSchedule, _run_chain, _symmetric_edge_before,
-                         average_shrink)
+from .sequential import (ChainReport, SharpnessSchedule, _run_chain, _sharpness_for_shrink,
+                         _symmetric_edge_before, average_shrink)
 from .states import _set
 
 # The colored-noise budget match is carried at two-decimal precision in the
@@ -61,14 +61,14 @@ class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
 
 
 def detectability(chain: ChainReport) -> DetectabilityReport:
-    """Stage-wise witness values of a chain: a stage (xi, lam) entered at
-    correlation strength g reads (1 - xi lam g) / 4.  Only the schedule and
-    ``chain.strengths`` are read, so a chain that carries no states gives
-    the same report; the optimizer and the tables read their fixed
-    schedules off such a chain."""
+    """Stage-wise witness values of a chain: ``states.witness_value`` of
+    each stage (xi, lam) at the correlation strength g entering it.  Only
+    the schedule and ``chain.strengths`` are read, so a chain that carries
+    no states gives the same report; the optimizer and the tables read
+    their fixed schedules off such a chain."""
     if chain.detected_stages < 1:
         raise ValueError("detectability needs at least one stage")
-    per = tuple((1.0 - xi * lam * g) / 4.0
+    per = tuple(states.witness_value(g, xi, lam)
                 for (xi, lam), g in zip(chain.schedule.stages, chain.strengths))
     return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
 
@@ -91,26 +91,28 @@ def maximize_detectability(family: states.StateFamily,
     stage 3 allow (``stage_two``).
 
     Stage i detects with margin iff lam_i^2 g_i >= need = 1 + 4 margin.
-    With n = need / g, K = sqrt(n) / cap3 and u = u1, F is piecewise in u:
+    With n = need / g, K = sqrt(n) / cap3 and u = u1, F is piecewise in u,
+    each piece concave; the candidates are stage-1 shrinks s1, each mapped
+    to lam1 by the inverse ``sequential._sharpness_for_shrink``:
 
     - stage 3 binds (s1 s2 = K, small u): F_B = const + (1/3 + K) u
-      - (2/3) u^2, concave, with its vertex at u = (1 + 3K) / 4;
+      - (2/3) u^2, with its vertex at s1 = (1 + K) / 2;
     - cap2 binds (large u): F_A = 1 - u^2 + C s1^2 with
-      C = cap2^2 + cap3^2 s(cap2)^2 <= 1.2 < 9/4, concave, with its vertex
-      at u = 2C / (9 - 4C);
+      C = cap2^2 + cap3^2 s(cap2)^2 <= 1.2 < 9/4, with its vertex at
+      s1 = 3 / (9 - 4C);
     - the pieces meet where the stage-3 bound on lam2 equals cap2, at
-      u = (9K / (1 + 2 sqrt(1 - cap2^2)) - 1) / 2.
+      s1 = K / s(cap2).
 
-    Stage 1 bounds u above by sqrt(1 - n) (lam1 >= sqrt(n)); cap1 bounds it
-    below by sqrt(1 - cap1^2).  The stage-2 edge is the backward stage map
-    E = ``sequential._symmetric_edge_before`` with the caps: stages 2 and 3
-    both detect iff g2 = g s1^2 >= edge2 = need max(1/cap2^2, E(1/cap3^2)),
-    since lam2 <= cap2 and stage 3 does best after the least lam2, at which
-    stage 2's witness is -margin.  So u >= (3 sqrt(edge2 / g) - 1) / 2.  On
-    the feasible interval the maximum of F is at an end, a vertex or the
-    breakpoint; each is scored with ``stage_two``, at most 12 calls.  Float
-    rounding can put the computed edge a few ulps outside the feasible
-    set, so it steps inward until ``stage_two`` accepts it.
+    Stage 1 needs lam1 >= sqrt(n), and cap1 bounds lam1 above.  The stage-2
+    edge is the backward stage map E = ``sequential._symmetric_edge_before``
+    with the caps: stages 2 and 3 both detect iff g2 = g s1^2 >= edge2 =
+    need max(1/cap2^2, E(1/cap3^2)), since lam2 <= cap2 and stage 3 does
+    best after the least lam2, at which stage 2's witness is -margin.  So
+    lam1 is at most the top, where s1 = sqrt(edge2 / g).  On the feasible
+    interval the maximum of F is at an end, a vertex or the breakpoint;
+    each is scored with ``stage_two``, at most 12 calls.  Float rounding
+    can put the computed top a few ulps outside the feasible set, so it
+    steps inward until ``stage_two`` accepts it.
 
     The supremum lies where a stage's witness reaches 0 (for bell, stage
     3's), so each stage is held at or below -_BOUNDARY_MARGIN, to within
@@ -134,8 +136,7 @@ def maximize_detectability(family: states.StateFamily,
         s1 = average_shrink(lam1)
         g2 = g * s1 * s1
         lo = math.sqrt(need / g2)
-        u_min = max(0.0, (3.0 * math.sqrt(need / (cap3 * cap3 * g2)) - 1.0) / 2.0)
-        hi = min(cap2, math.sqrt(max(0.0, 1.0 - u_min * u_min)))
+        hi = min(cap2, _sharpness_for_shrink(math.sqrt(need / (cap3 * cap3 * g2))))
         if lo > hi:
             return -math.inf, None
         return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * average_shrink(hi)) ** 2), hi
@@ -148,25 +149,20 @@ def maximize_detectability(family: states.StateFamily,
         raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
                          "with every stage detecting")
 
-    def lam_of(u):
-        u = min(1.0, max(0.0, u))
-        return math.sqrt((1.0 - u) * (1.0 + u))
-
     k = math.sqrt(need / g) / cap3
     # stages 2 and 3 both detect iff g s1^2 >= edge2 (see the docstring)
     edge2 = need * max(1.0 / (cap2 * cap2), _symmetric_edge_before(1.0 / (cap3 * cap3)))
-    top = max(lo, min(cap1, lam_of((3.0 * math.sqrt(edge2 / g) - 1.0) / 2.0)))
+    top = max(lo, min(cap1, _sharpness_for_shrink(math.sqrt(edge2 / g))))
     for ulps in (0, 1, 3, 7, 15, 31, 63, 127):
         edge = max(lo, top - ulps * math.ulp(top))
         scored[edge] = stage_two(edge)
         if scored[edge][1] is not None:
             break
 
-    c = cap2 * cap2 + (cap3 * average_shrink(cap2)) ** 2
-    for u in ((1.0 + 3.0 * k) / 4.0,
-              2.0 * c / (9.0 - 4.0 * c),
-              (9.0 * k / (1.0 + 2.0 * math.sqrt(1.0 - cap2 * cap2)) - 1.0) / 2.0):
-        lam = min(edge, max(lo, lam_of(u)))
+    s_cap2 = average_shrink(cap2)
+    c = cap2 * cap2 + (cap3 * s_cap2) ** 2
+    for s1 in ((1.0 + k) / 2.0, 3.0 / (9.0 - 4.0 * c), k / s_cap2):
+        lam = min(edge, max(lo, _sharpness_for_shrink(s1)))
         if lam not in scored:
             scored[lam] = stage_two(lam)
     lam1 = max(scored, key=lambda lam: scored[lam][0])
@@ -185,8 +181,8 @@ def solve_matching_parameter(kind: str, schedule: SharpnessSchedule,
     """State parameter at which the non-sequential scheme matches a target.
 
     Each pair of the schedule measures its own copy of the state.  The
-    family witnesses carry no single-wing Pauli terms, so stage i
-    contributes (1 - xi_i lam_i g) / 4, where g is the state's
+    family witnesses see the state through g alone, so stage i contributes
+    ``states.witness_value(g, xi_i, lam_i)``, where g is the state's
     ``states.correlation_strength``.  The summed target D therefore fixes
     g = (n - 4 D) / sum(xi_i lam_i), which ``states.param_for_strength``
     inverts.  Returns p for werner/colored and theta for the pure family;

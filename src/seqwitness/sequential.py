@@ -10,10 +10,9 @@ The channels and ``states.build`` reach ``qcore`` through ``states._qcore``,
 which imports it, and numpy, on the first state a chain builds and keeps it.
 
 The family witnesses see a state only through its correlation strength g
-(``states.correlation_strength``): a (xi, lam)-modulated witness has
-expectation (1 - xi lam g) / 4, so a stage "detects" exactly when its
-sharpness product exceeds the threshold 1/g, and an averaged stage
-multiplies g by s(xi) s(lam).  Every chain decides on g alone and records
+(``states.witness_value``), so a stage "detects" exactly when its sharpness
+product exceeds the threshold 1/g, and an averaged stage multiplies g by
+s(xi) s(lam).  Every chain decides on g alone and records
 the g entering each stage, which is all ``resource`` reads.  The library
 chains also carry the matrix state through the averaged channels for the
 tests' matrix route and the bench tracer; ``violation_threshold`` is that
@@ -43,6 +42,14 @@ def average_shrink(lam: float) -> float:
     """Single-wing attenuation of every Bloch component under the
     setting-averaged unsharp measurement: (1 + 2 sqrt(1 - lam^2)) / 3."""
     return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
+
+
+def _sharpness_for_shrink(s: float) -> float:
+    """Inverse of ``average_shrink``: the lam whose attenuation is s, from
+    sqrt(1 - lam^2) = u = (3 s - 1) / 2 with u clipped to [0, 1], so s at
+    or above 1 gives 0 and s at or below 1/3 gives 1."""
+    u = min(1.0, max(0.0, (3.0 * s - 1.0) / 2.0))
+    return math.sqrt((1.0 - u) * (1.0 + u))
 
 
 def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
@@ -108,9 +115,11 @@ class EpsilonPolicy(states._Record):
                  paper_rounding: bool = False):
         if not (0.0 <= first_stage_slack < 0.1 and 0.0 <= later_stage_slack < 0.1):  # NaN fails
             raise ValueError("stage slack must lie in [0, 0.1)")
+        if paper_rounding not in (True, False):  # a truthy "no" must not turn rounding on
+            raise ValueError(f"paper_rounding must be True or False, not {paper_rounding!r}")
         _set_first_stage_slack(self, first_stage_slack)
         _set_later_stage_slack(self, later_stage_slack)
-        _set_paper_rounding(self, paper_rounding)
+        _set_paper_rounding(self, bool(paper_rounding))
 
     @classmethod
     def asymmetric_default(cls, paper_rounding: bool = False) -> "EpsilonPolicy":

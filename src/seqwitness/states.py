@@ -181,12 +181,10 @@ def correlation_strength(family: StateFamily) -> float:
     """Correlation strength g seen by the family's witness: 3 (bell), 3p
     (werner), 4p - 1 (colored) or 1 + 2 sin(2 theta) (pure).
 
-    Both family witnesses have identity weight 1/4 and no single-wing
-    Pauli terms, so a (xi, lam)-modulated family witness has expectation
-    (1 - xi lam g) / 4 on the state, and each averaged two-sided
-    measurement multiplies g by the two wings' attenuations.  Every family
-    has concurrence C = max(0, (g - 1) / 2); ``param_for_strength`` is the
-    inverse map.
+    A modulated family witness reads the state through g alone
+    (``witness_value``), and each averaged two-sided measurement multiplies
+    g by the two wings' attenuations.  Every family has concurrence
+    C = max(0, (g - 1) / 2); ``param_for_strength`` is the inverse map.
     """
     if family.kind == BELL:
         return 3.0
@@ -195,6 +193,14 @@ def correlation_strength(family: StateFamily) -> float:
     if family.kind == COLORED:
         return 4.0 * family.param - 1.0
     return 1.0 + 2.0 * math.sin(2.0 * family.param)
+
+
+def witness_value(g: float, xi: float, lam: float) -> float:
+    """Expectation of a family witness modulated by (xi, lam) on a state of
+    correlation strength g: (1 - xi lam g) / 4.  Both family witnesses have
+    identity weight 1/4 and no single-wing Pauli terms, so g is all they
+    see; the value is negative, and the stage detects, iff xi lam g > 1."""
+    return (1.0 - xi * lam * g) / 4.0
 
 
 def param_for_strength(kind: str, g: float) -> float | None:

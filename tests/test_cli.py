@@ -357,7 +357,8 @@ def test_config_file_paper_rounding_values(tmp_path, capsys, value, flag):
 
 
 def test_witness_eval_closed_form_matches_matrix_route():
-    # (1 - xi lam g) / 4 against the modulated family witness on the built state
+    # states.witness_value, which witness-eval prints, against the modulated
+    # family witness on the built state
     from seqwitness import states, witness
 
     rng = np.random.default_rng(23)
@@ -370,7 +371,8 @@ def test_witness_eval_closed_form_matches_matrix_route():
         family = states.StateFamily(kind, param)
         w = witness.modulate(witness.family_witness(kind), xi, lam)
         expected = witness.expectation(w, states.build(family))
-        assert abs(cli._witness_value(family, xi, lam) - expected) <= 1e-15, (kind, param, xi, lam)
+        value = states.witness_value(states.correlation_strength(family), xi, lam)
+        assert abs(value - expected) <= 1e-15, (kind, param, xi, lam)
 
 
 _NOT_LOADED = {

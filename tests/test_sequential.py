@@ -178,6 +178,37 @@ def test_epsilon_policy_validation():
         seq.EpsilonPolicy(first_stage_slack=0.2)
     with pytest.raises(ValueError):
         seq.EpsilonPolicy(later_stage_slack=-0.01)
+    # paper_rounding must equal True or False: a truthy string such as "no"
+    # would otherwise turn grid rounding on
+    for value in ("no", "yes", "", None, 2, 0.5):
+        with pytest.raises(ValueError, match="paper_rounding"):
+            seq.EpsilonPolicy(paper_rounding=value)
+        with pytest.raises(ValueError, match="paper_rounding"):
+            seq.EpsilonPolicy.asymmetric_default(paper_rounding=value)
+    for value, stored in ((1, True), (0, False), (np.True_, True), (np.False_, False)):
+        assert seq.EpsilonPolicy(paper_rounding=value).paper_rounding is stored
+
+
+def test_sharpness_for_shrink_inverts_average_shrink():
+    # average_shrink turns one ulp of lam into |ds/dlam| ulp(1), which grows
+    # without bound as s nears 1/3 (lam near 1); from s = 1/2 up the round
+    # trip is within a few ulps of s
+    rng = np.random.default_rng(31)
+    draws = np.concatenate([np.linspace(1 / 3, 1.0, 2001), rng.uniform(1 / 3, 1.0, 2000)])
+    for s in draws.tolist():
+        lam = seq._sharpness_for_shrink(s)
+        u = (3.0 * s - 1.0) / 2.0
+        slope = 2.0 * lam / (3.0 * u) if u > 0.0 else 0.0
+        err = abs(seq.average_shrink(lam) - s)
+        assert err <= 4 * math.ulp(s) + slope * math.ulp(1.0), s
+        assert s < 0.5 or err <= 4 * math.ulp(s), s
+
+
+def test_sharpness_for_shrink_clips_outside_the_range_of_average_shrink():
+    for s in (1.0, 1.0 + 1e-12, 1.5, math.inf):
+        assert seq._sharpness_for_shrink(s) == 0.0
+    for s in (1 / 3, 1 / 3 - 1e-12, 0.0, -1.0, -math.inf):
+        assert seq._sharpness_for_shrink(s) == 1.0
 
 
 def test_greedy_symmetric_paper_rounding_schedule():
