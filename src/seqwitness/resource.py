@@ -14,7 +14,7 @@ import operator
 
 from . import states
 from .sequential import (ChainReport, SharpnessSchedule, _run_chain, _sharpness_for_shrink,
-                         _symmetric_edge_before, average_shrink)
+                         _stage_window, _symmetric_edge_before, average_shrink)
 from .states import _set
 
 # The colored-noise budget match is carried at two-decimal precision in the
@@ -87,8 +87,7 @@ def maximize_detectability(family: states.StateFamily,
     cap3^2 s2^2 rises with lam2 up to u2 = 2 cap3^2 / (9 - 4 cap3^2) <= 0.4,
     where s2 <= 0.6; stage 3 stops detecting before that, since detection
     needs lam_i > 1/sqrt(g_i) and g <= 3 puts s1 <= 0.88, so
-    cap3^2 g s1^2 s2^2 < 1 there.  So lam2 is the largest value cap2 and
-    stage 3 allow (``stage_two``).
+    cap3^2 g s1^2 s2^2 < 1 there.  So lam2 is the top of its stage window.
 
     Stage i detects with margin iff lam_i^2 g_i >= need = 1 + 4 margin.
     With n = need / g, K = sqrt(n) / cap3 and u = u1, F is piecewise in u,
@@ -103,16 +102,15 @@ def maximize_detectability(family: states.StateFamily,
     - the pieces meet where the stage-3 bound on lam2 equals cap2, at
       s1 = K / s(cap2).
 
-    Stage 1 needs lam1 >= sqrt(n), and cap1 bounds lam1 above.  The stage-2
-    edge is the backward stage map E = ``sequential._symmetric_edge_before``
-    with the caps: stages 2 and 3 both detect iff g2 = g s1^2 >= edge2 =
-    need max(1/cap2^2, E(1/cap3^2)), since lam2 <= cap2 and stage 3 does
-    best after the least lam2, at which stage 2's witness is -margin.  So
-    lam1 is at most the top, where s1 = sqrt(edge2 / g).  On the feasible
-    interval the maximum of F is at an end, a vertex or the breakpoint;
-    each is scored with ``stage_two``, at most 12 calls.  Float rounding
-    can put the computed top a few ulps outside the feasible set, so it
-    steps inward until ``stage_two`` accepts it.
+    Stage 3 detects iff g3 >= edge3 = need / cap3^2, stages 2 and 3 iff
+    g2 >= edge2, the capped backward stage map
+    ``sequential._symmetric_edge_before`` of edge3, and
+    ``sequential._stage_window`` turns the edges into lam1's range
+    [lo, top] and stage 2's window.  On the feasible interval the maximum
+    of F is at an end, a vertex or the breakpoint; each is scored with
+    ``stage_two``, at most 12 calls.  Float rounding can put the computed
+    top a few ulps outside the feasible set, so it steps inward until
+    ``stage_two`` accepts it.
 
     The supremum lies where a stage's witness reaches 0 (for bell, stage
     3's), so each stage is held at or below -_BOUNDARY_MARGIN, to within
@@ -128,31 +126,27 @@ def maximize_detectability(family: states.StateFamily,
     g = states.correlation_strength(family)
     cap1, cap2, cap3 = stage_caps
     need = 1.0 + 4.0 * _BOUNDARY_MARGIN  # witness <= -margin iff lam_i^2 g_i >= need
+    edge3 = need / (cap3 * cap3)
+    edge2 = _symmetric_edge_before(edge3, cap2, need)
 
     def stage_two(lam1):
-        """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2
-        after stage 1 at lam1, or (-inf, None) if no lam2 lets both stages
-        detect: stage 2 needs lam2 >= lo, stage 3 and the cap lam2 <= hi."""
+        """(lam1^2 + s1^2 (lam2^2 + cap3^2 s2^2), lam2) at the best lam2 after
+        stage 1 at lam1, or (-inf, None) if no lam2 lets both stages detect."""
         s1 = average_shrink(lam1)
-        g2 = g * s1 * s1
-        lo = math.sqrt(need / g2)
-        hi = min(cap2, _sharpness_for_shrink(math.sqrt(need / (cap3 * cap3 * g2))))
+        lo, hi = _stage_window(g * s1 * s1, cap2, edge3, need)
         if lo > hi:
             return -math.inf, None
         return lam1 * lam1 + s1 * s1 * (hi * hi + (cap3 * average_shrink(hi)) ** 2), hi
 
     # Stage 1 detects from lo up; a larger lam1 leaves stages 2 and 3 less
     # room, so the feasible lam1 form an interval [lo, edge].
-    lo = math.sqrt(need / g) if g >= need else math.inf
+    lo, top = _stage_window(g, cap1, edge2, need)
     scored = {lo: stage_two(lo) if lo <= cap1 else (-math.inf, None)}
-    if lo > cap1 or scored[lo][1] is None:
+    if scored[lo][1] is None:
         raise ValueError(f"family {family.kind!r} admits no 3-stage schedule "
                          "with every stage detecting")
 
-    k = math.sqrt(need / g) / cap3
-    # stages 2 and 3 both detect iff g s1^2 >= edge2 (see the docstring)
-    edge2 = need * max(1.0 / (cap2 * cap2), _symmetric_edge_before(1.0 / (cap3 * cap3)))
-    top = max(lo, min(cap1, _sharpness_for_shrink(math.sqrt(edge2 / g))))
+    k = lo / cap3
     for ulps in (0, 1, 3, 7, 15, 31, 63, 127):
         edge = max(lo, top - ulps * math.ulp(top))
         scored[edge] = stage_two(edge)

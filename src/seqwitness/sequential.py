@@ -134,19 +134,22 @@ class EpsilonPolicy(states._Record):
         threshold reaches 1, since then no stage up to sharpness 1 detects."""
         if not threshold < 1.0:
             return None
-        if self.paper_rounding:
-            return _grid_ceil_sqrt(threshold) if two_sided else _grid_ceil(threshold)
+        if self.paper_rounding:  # the 0.01-grid point strictly above, capped at 1
+            x = math.sqrt(threshold) if two_sided else threshold
+            return min(math.floor(x * 100.0 + _GRID_EPS) + 1, 100) / 100.0
         slack = self.first_stage_slack if stage == 1 else self.later_stage_slack
         value = min(threshold + slack, 1.0)
         return math.sqrt(value) if two_sided else value
 
 
 class SharpnessSchedule(states._Record):
-    """Ordered per-stage (xi, lam) values of the recorded stages."""
+    """Ordered per-stage (xi, lam) values of the recorded stages; a list or
+    other iterable is stored as a tuple of tuples, and a tuple as it is."""
 
     __slots__ = ("stages",)
 
     def __init__(self, stages: tuple[tuple[float, float], ...]):
+        stages = stages if type(stages) is tuple else tuple(map(tuple, stages))
         for xi, lam in stages:
             if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
                 raise ValueError("schedule entries must lie in (0, 1]")
@@ -191,20 +194,6 @@ _set_schedule = ChainReport.schedule.__set__
 _set_thresholds = ChainReport.thresholds.__set__
 _set_strengths = ChainReport.strengths.__set__
 _set_states = ChainReport.states.__set__
-
-
-def _grid_ceil(x: float) -> float:
-    """Smallest 0.01-grid value strictly above x (capped at 1)."""
-    k = math.floor(x * 100.0 + _GRID_EPS) + 1
-    return min(k, 100) / 100.0
-
-
-def _grid_ceil_sqrt(x: float) -> float:
-    """Smallest 0.01-grid value whose square strictly exceeds x (capped at 1)."""
-    k = math.floor(math.sqrt(x) * 100.0 + _GRID_EPS)
-    while (k / 100.0) ** 2 <= x and k < 100:
-        k += 1
-    return k / 100.0
 
 
 def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
@@ -295,29 +284,46 @@ def run_symmetric_schedule(family: states.StateFamily,
     """
     if not lambdas:
         raise ValueError("schedule must have at least one stage")
-    SharpnessSchedule(tuple((lam, lam) for lam in lambdas))  # checks entries before any channel
+    SharpnessSchedule((lam, lam) for lam in lambdas)  # checks entries before any channel
     return _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
 
 
-def _symmetric_edge_before(h: float) -> float:
-    """Correlation strength g that one zero-slack symmetric stage maps to h.
+def _symmetric_edge_before(h: float, cap: float = 1.0, need: float = 1.0) -> float:
+    """Backward stage map: the least g from which one symmetric stage of
+    sharpness at most ``cap`` detects (lam^2 g >= need) and hands on at
+    least h >= need/9, need max(1/cap^2, E(h/need)).  The stage at
+    lam = 1/sqrt(g) leaves ((sqrt(g) + 2 sqrt(g - 1)) / 3)^2 >= 1/9, rising
+    with g, so sqrt(E(h)) = -sqrt(h) + 2 sqrt(h + 1/3), bit for bit at the
+    defaults; need scales g and h alike, and the cap adds g >= need/cap^2.
 
-    The stage measures at xi = lam = 1/sqrt(g) and leaves
-    g s(1/sqrt(g))^2 = ((sqrt(g) + 2 sqrt(g - 1)) / 3)^2, which rises with
-    g; solving for g gives sqrt(g) = -sqrt(h) + 2 sqrt(h + 1/3).
+    Count lemma: no schedule hands on more.  (1) At fixed P = xi lam,
+    s(xi) s(lam) peaks at xi = lam, as log s(e^a) is concave: its slope
+    -2 (1 - u^2) / (u (1 + 2u)), u = sqrt(1 - lam^2), falls as lam rises.
+    (2) Detection needs P >= need/g, and g s(xi) s(lam) falls as P rises.
+    (3) The zero-slack map rises with g; by induction no schedule's k-th g
+    exceeds the zero-slack chain's.
     """
-    root = -math.sqrt(h) + 2.0 * math.sqrt(h + 1.0 / 3.0)
-    return root * root
+    root = -math.sqrt(h / need) + 2.0 * math.sqrt(h / need + 1.0 / 3.0)
+    return need * max(1.0 / (cap * cap), root * root)
+
+
+def _stage_window(g: float, cap: float, next_edge: float,
+                  need: float = 1.0) -> tuple[float, float]:
+    """(lo, hi) sharpness window of a symmetric stage entering at g: lo is
+    the least lam that detects (lam^2 g >= need), hi the most, at most
+    ``cap``, that hands on g s(lam)^2 >= next_edge.  Empty (lo > hi) for
+    every g < need; colored families reach g <= 0."""
+    if not g >= need:
+        return math.inf, 0.0
+    return math.sqrt(need / g), min(cap, _sharpness_for_shrink(math.sqrt(next_edge / g)))
 
 
 def classify_pair_count(family: states.StateFamily) -> int:
-    """Number of symmetric pairs that can detect entanglement (0 to 3).
-
-    A possibility statement, so it counts the zero-slack chain, where every
-    stage saturates its threshold 1/g exactly.  A stage detects while g > 1
-    and the stage map rises with g, so the count is the number of band
-    edges E_1 = 1 < E_2 < ... below g, where one stage maps E_{k+1} onto
-    E_k: 1, 1.714531, 2.410788, then 3.099032 > 3 (bell's g).
+    """Most symmetric pairs that can detect entanglement (0 to 3): the
+    number of band edges E_1 = 1 < E_2 < ... below g, E_{k+1} the backward
+    map of E_k, 1, 1.714531, 2.410788, then 3.099032 > 3 (bell's g).  The
+    zero-slack chain, each stage at its threshold 1/g, detects that many,
+    and by the map's count lemma no schedule, split evenly or not, more.
     """
     if family.kind not in (states.WERNER, states.PURE):
         raise ValueError("pair-count classification applies to werner and pure families")

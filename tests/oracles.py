@@ -441,6 +441,26 @@ def zero_slack_stage_mp(g):
     return g * ((1 + 2 * mpmath.sqrt(1 - lam * lam)) / 3) ** 2
 
 
+def symmetric_edge_before_mp(h, cap=1, need=1):
+    """Least g from which one symmetric stage of sharpness at most ``cap``
+    detects (lam^2 g >= need) and hands on at least h, in mpmath at the
+    caller's working precision: the root in g of the forward stage
+    g s(lam)^2 = h at its least detecting lam = sqrt(need / g), by
+    bracketed root finding, joined with the cap's g >= need / cap^2."""
+    import mpmath
+
+    h, cap, need = mpmath.mpf(h), mpmath.mpf(cap), mpmath.mpf(need)
+
+    def handed_on(g):
+        lam = mpmath.sqrt(need / g)
+        return g * ((1 + 2 * mpmath.sqrt(1 - lam * lam)) / 3) ** 2 - h
+
+    # the stage hands on need s(1)^2 = need / 9 <= h at g = need, and at
+    # least g / 9 at any g since s >= 1/3, so the root lies in [need, 9 h + need]
+    root = mpmath.findroot(handed_on, (need, 9 * h + need), solver="illinois")
+    return max(need / cap**2, root)
+
+
 def boundary_pattern_lambdas(constraint, floor, copies, max_free=None):
     """Least sum(lam) with sum(lam^2) = constraint and floor <= lam <= 1
     over every boundary pattern: n_cap lambdas at the cap, n_floor at the

@@ -218,6 +218,22 @@ def test_record_is_an_immutable_value(name):
             cls(**{**kwargs, **bad})
 
 
+@pytest.mark.parametrize("stages", [[(0.9, 0.8), (1.0, 0.5)], [[0.9, 0.8], [1.0, 0.5]],
+                                    iter(((0.9, 0.8), (1.0, 0.5)))],
+                         ids=["list", "list of lists", "iterator"])
+def test_schedules_from_lists_are_tuples_that_compare_and_hash_alike(stages):
+    schedule = sequential.SharpnessSchedule(stages)
+    assert schedule.stages == ((0.9, 0.8), (1.0, 0.5))
+    assert all(type(entry) is tuple for entry in (schedule.stages, *schedule.stages))
+    assert schedule == _SCHEDULE and hash(schedule) == hash(_SCHEDULE)
+    assert repr(schedule) == _SCHEDULE_REPR
+
+
+def test_a_schedule_keeps_the_tuple_it_is_given():
+    stages = ((0.9, 0.8), (1.0, 0.5))
+    assert sequential.SharpnessSchedule(stages).stages is stages
+
+
 def test_library_chain_reports_compare_and_hash_by_state_entries():
     bell = states.StateFamily.bell()
     first, second = sequential.greedy_symmetric(bell), sequential.greedy_symmetric(bell)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ def test_epsilon_policy_sharpness_paper_rounding_snaps_to_grid():
     policy = seq.EpsilonPolicy(paper_rounding=True)
     assert policy.sharpness(1 / 3, 1, True) == 0.58
     assert policy.sharpness(0.4, 2, False) == 0.41
+
+
+def test_paper_rounding_snaps_both_sidednesses_by_one_grid_rule():
+    # the grid guard is 1e-9 on the percent scale: a threshold, or a
+    # two-sided threshold's root, 1e-12 below 0.35 snaps past it, and one
+    # 1e-10 below stays on it, on either side alike
+    policy = seq.EpsilonPolicy(paper_rounding=True)
+    for below, expected in ((1e-12, 0.36), (1e-10, 0.35)):
+        root = 0.35 - below
+        assert policy.sharpness(root, 2, False) == expected
+        assert policy.sharpness(root * root, 2, True) == expected
 
 
 def test_epsilon_policy_sharpness_slack_by_stage():
@@ -388,6 +400,106 @@ def test_symmetric_edges_match_50_digit_oracle():
         for edge, reference in zip(_float_edges(4), exact):
             assert abs(mpmath.mpf(edge) - reference) <= 4 * math.ulp(float(reference))
     assert [round(e, 6) for e in _float_edges(4)] == [1.0, 1.714531, 2.410788, 3.099032]
+
+
+def test_stage_map_defaults_are_the_need_one_closed_form_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for h in _float_edges(4) + rng.uniform(1 / 9, 12.0, 500).tolist():
+        root = -math.sqrt(h) + 2.0 * math.sqrt(h + 1.0 / 3.0)
+        assert seq._symmetric_edge_before(h) == root * root
+        assert seq._symmetric_edge_before(h, 1.0, 1.0) == root * root
+
+
+def test_stage_map_matches_50_digit_backward_map():
+    # the oracle finds the root of the forward stage at the least detecting
+    # sharpness; its need-n edge is n times its need-1 edge of h / n
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(41)
+    with mpmath.workdps(50):
+        for _ in range(300):
+            need = rng.choice((1.0, 1.0 + 4e-12, 1.5, math.sqrt(3.0), rng.uniform(1.0, 2.0)))
+            cap = rng.choice((1.0, rng.uniform(0.3, 1.0)))
+            h = need * rng.uniform(1 / 9, 12.0)
+            exact = oracles.symmetric_edge_before_mp(h, cap, need)
+            edge = seq._symmetric_edge_before(h, cap, need)
+            assert abs(mpmath.mpf(edge) - exact) <= 8 * math.ulp(float(exact)), (h, cap, need)
+            scaled = need * oracles.symmetric_edge_before_mp(mpmath.mpf(h) / need)
+            assert abs(oracles.symmetric_edge_before_mp(h, 1, need) - scaled) < 1e-45
+
+
+def _brute_window(g, cap, next_edge, need, lams):
+    """Least and most grid sharpness that detects, keeps to the cap and
+    hands on at least next_edge, or None when none does."""
+    shrink = (1.0 + 2.0 * np.sqrt(1.0 - lams * lams)) / 3.0
+    ok = lams[(lams * lams * g >= need) & (lams <= cap) & (g * shrink * shrink >= next_edge)]
+    return (ok.min(), ok.max()) if ok.size else None
+
+
+def test_stage_window_matches_brute_force_sharpness_grid():
+    lams = np.linspace(0.0, 1.0, 20001)
+    step = lams[1]
+    rng = random.Random(43)
+    nonempty = 0
+    for _ in range(400):
+        need = rng.choice((1.0, 1.0 + 4e-12, 1.5))
+        g = need * rng.uniform(0.8, 3.5)
+        cap = rng.choice((1.0, rng.uniform(0.3, 1.0)))
+        next_edge = rng.uniform(need / 9, g)
+        lo, hi = seq._stage_window(g, cap, next_edge, need)
+        brute = _brute_window(g, cap, next_edge, need, lams)
+        if brute is None:
+            assert lo > hi - step, (g, cap, next_edge, need)
+            continue
+        nonempty += 1
+        assert lo <= hi
+        assert abs(lo - brute[0]) <= step and abs(hi - brute[1]) <= step
+    assert nonempty > 100
+
+
+@pytest.mark.parametrize("g,need", [(0.0, 1.0), (-0.5, 1.0), (-1e-300, 1.0), (0.5, 1.0),
+                                    (1.0 - 1e-12, 1.0), (1.2, 1.5), (math.nan, 1.0)])
+def test_stage_window_is_empty_below_need(g, need):
+    lo, hi = seq._stage_window(g, 1.0, 0.5, need)
+    assert lo > hi
+
+
+def _shrink(x):
+    return (1.0 + 2.0 * math.sqrt(1.0 - x * x)) / 3.0
+
+
+def test_no_schedule_detects_more_leading_stages_than_the_pair_count():
+    # the count lemma: schedules near each stage's threshold 1/g, split
+    # evenly or not, never beat the band-edge count away from an edge, and
+    # the near-zero-slack even ones reach it
+    rng = random.Random(47)
+    edges = _float_edges(4)
+    reached = checked = 0
+    for i in range(2000):
+        if i % 2:
+            family = states.StateFamily.werner(rng.uniform(0.3, 1.0))
+        else:
+            family = states.StateFamily.pure(rng.uniform(0.01, math.pi / 4 - 0.01))
+        g0 = states.correlation_strength(family)
+        if any(abs(g0 - e) < 1e-9 for e in edges):
+            continue
+        count = seq.classify_pair_count(family)
+        best = 0
+        for _ in range(20):
+            g, detected = g0, 0
+            while detected <= count:
+                slack = rng.choice((0.0, 10.0 ** rng.uniform(-16, -1), rng.random()))
+                split = rng.choice((0.5, rng.random()))
+                product = min(1.0, (1.0 + slack) / g)
+                xi, lam = product ** split, product ** (1.0 - split)
+                if not xi * lam * g > 1.0:
+                    break
+                detected += 1
+                g *= _shrink(xi) * _shrink(lam)
+            best = max(best, detected)
+        assert best <= count, (family, best, count)
+        reached += best == count
+        checked += 1
+    assert reached > 0.9 * checked
 
 
 def test_classify_rejects_other_families():
