@@ -220,9 +220,8 @@ def _cmd_max_observers(parser, args) -> int:
     policy = sequential.EpsilonPolicy(first_stage_slack=args.epsilon1,
                                       later_stage_slack=args.epsilon,
                                       paper_rounding=args.paper_rounding)
-    # greedy_asymmetric's loop without its matrix states, which are not printed
-    report = sequential._run_chain(family, args.alices - 1, args.bobs, policy.sharpness,
-                                   carry_states=False)
+    # greedy_asymmetric's stage loop, without the matrix states it replays: none is printed
+    report = sequential._run_chain(family, args.alices - 1, args.bobs, policy.sharpness)
     d = args.digits
     payload = {
         "scenario": {"alices": args.alices, "bobs": args.bobs,

@@ -161,8 +161,7 @@ def maximize_detectability(family: states.StateFamily,
             scored[lam] = stage_two(lam)
     lam1 = max(scored, key=lambda lam: scored[lam][0])
     lams = (lam1, scored[lam1][1], cap3)
-    return detectability(_run_chain(family, None, 3, lambda t, stage, _: lams[stage - 1],
-                                    carry_states=False))
+    return detectability(_run_chain(family, None, 3, lambda t, stage, _: lams[stage - 1]))
 
 
 def total_rom(schedule: SharpnessSchedule) -> float:
@@ -302,8 +301,7 @@ def build_comparison_tables(paper_rounded: bool = False
     bell = states.StateFamily.bell()
     opt = maximize_detectability(bell)
     canon = tuple(round(lam, 2) for lam, _ in opt.schedule.stages)
-    report = detectability(_run_chain(bell, None, 3, lambda t, stage, _: canon[stage - 1],
-                                      carry_states=False))
+    report = detectability(_run_chain(bell, None, 3, lambda t, stage, _: canon[stage - 1]))
     if any(d >= 0.0 for d in report.per_stage):
         raise RuntimeError("canonical schedule lost stage-wise feasibility")
     target = round(report.total, 2)

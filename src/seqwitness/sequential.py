@@ -12,13 +12,13 @@ which imports it, and numpy, on the first state a chain builds and keeps it.
 The family witnesses see a state only through its correlation strength g
 (``states.witness_value``), so a stage "detects" exactly when its sharpness
 product exceeds the threshold 1/g, and an averaged stage multiplies g by
-s(xi) s(lam).  Every chain decides on g alone and records
-the g entering each stage, which is all ``resource`` reads.  The library
-chains also carry the matrix state through the averaged channels for the
-tests' matrix route and the bench tracer; ``violation_threshold`` is that
-route to the threshold.  The greedy procedures saturate each stage just
-above its threshold to disturb the state as little as possible and count
-how many stages stay below product 1.
+s(xi) s(lam).  The stage loop decides on g alone and records the g
+entering each stage, which is all ``resource`` and the CLI read.  The
+library chains then replay the schedule through the averaged channels to
+attach the matrix state entering each stage, for the tests' matrix route and
+the bench tracer; ``violation_threshold`` is that route to the threshold.
+The greedy procedures saturate each stage just above its threshold to
+disturb the state as little as possible and count the stages below product 1.
 """
 
 from __future__ import annotations
@@ -143,16 +143,19 @@ class EpsilonPolicy(states._Record):
 
 
 class SharpnessSchedule(states._Record):
-    """Ordered per-stage (xi, lam) values of the recorded stages; a list or
-    other iterable is stored as a tuple of tuples, and a tuple as it is."""
+    """Ordered per-stage (xi, lam) values of the recorded stages, stored as
+    a tuple of tuples; a tuple of tuples is kept as it is, without a copy."""
 
     __slots__ = ("stages",)
 
     def __init__(self, stages: tuple[tuple[float, float], ...]):
         stages = stages if type(stages) is tuple else tuple(map(tuple, stages))
-        for xi, lam in stages:
+        for entry in stages:
+            xi, lam = entry
             if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):
                 raise ValueError("schedule entries must lie in (0, 1]")
+            if type(entry) is not tuple:  # a list entry is unhashable and != its tuple
+                stages = tuple(map(tuple, stages))
         _set_stages(self, stages)
 
 
@@ -163,9 +166,9 @@ class ChainReport(states._Record, repr_omit=("states",)):
     examined, and ``thresholds`` its raw violation threshold 1/g: one per
     stage, plus a last one of at least 1 when a greedy chain ends at an
     infeasible stage (none when it ends at its stage cap, nor for a fixed
-    schedule).  ``states`` holds the averaged matrix state entering each
-    recorded stage; it decides nothing, no library code reads it, and it is
-    left out of the repr.  A fixed schedule records every scheduled stage,
+    schedule).  ``states`` holds the matrix state entering each recorded
+    stage, which the library chains replay from the schedule; it decides
+    nothing and the repr omits it.  A fixed schedule records every stage,
     so its ``detected_stages`` is the schedule's length, detecting or not.
     """
 
@@ -197,8 +200,8 @@ _set_states = ChainReport.states.__set__
 
 
 def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
-               max_stages: int | None, sharpness, carry_states: bool = True) -> ChainReport:
-    """The stage loop behind every chain.
+               max_stages: int | None, sharpness) -> ChainReport:
+    """The stage loop behind every chain, on g alone: it builds no state.
 
     ``two_sided_stages`` limits how many leading stages measure on both
     wings; ``None`` means every stage does (the symmetric scenario).  Once
@@ -207,19 +210,11 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
     records its g and violation threshold 1/g, then takes the sharpness
     ``sharpness(threshold, stage, two_sided)``; ``None`` ends the chain.
     The stage multiplies g by s(lam)^2 (two-sided) or s(lam) (one-sided).
-
-    With ``carry_states`` the loop also evolves the matrix state through the
-    averaged channels, recording the state entering each stage; it decides
-    nothing, and the initial state is built only once a first stage is
-    recorded.  Without it (the CLI, which prints no state), or when no stage
-    detects, numpy never loads and ``ChainReport.states`` is empty.
     """
     g = states.correlation_strength(family)
-    rho = None  # built when the first stage is recorded
     stages: list[tuple[float, float]] = []
     thresholds: list[float] = []
     strengths: list[float] = []
-    incoming: list[DensityMatrix] = []
     while max_stages is None or len(stages) < max_stages:
         stage = len(stages) + 1
         two_sided = two_sided_stages is None or stage <= two_sided_stages
@@ -233,14 +228,22 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
         stages.append((s if two_sided else 1.0, s))
         shrink = average_shrink(s)
         g *= shrink * shrink if two_sided else shrink
-        if carry_states:
-            if rho is None:
-                rho = states.build(family)
-            incoming.append(rho)
-            if len(stages) != max_stages:  # no channel after the last stage
-                rho = average_two_sided(rho, s, s) if two_sided else average_one_sided(rho, s)
     return ChainReport(family, len(stages), SharpnessSchedule(tuple(stages)),
-                       tuple(thresholds), tuple(strengths), tuple(incoming))
+                       tuple(thresholds), tuple(strengths), ())
+
+
+def _chain_states(report: ChainReport, two_sided_stages: int | None) -> tuple[DensityMatrix, ...]:
+    """A chain's replay: the matrix state entering each recorded stage, built
+    from the family only once a stage was recorded, with a channel only into
+    a stage the chain examined (so into an infeasible stop too, then dropped)."""
+    stages, examined = report.schedule.stages, len(report.strengths)
+    rho, incoming = (states.build(report.family) if stages else None), []
+    for stage, (xi, lam) in enumerate(stages, 1):
+        incoming.append(rho)
+        if stage < examined:
+            two_sided = two_sided_stages is None or stage <= two_sided_stages
+            rho = average_two_sided(rho, xi, lam) if two_sided else average_one_sided(rho, lam)
+    return tuple(incoming)
 
 
 def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = None,
@@ -253,7 +256,9 @@ def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = 
     """
     if max_stages is not None and operator.index(max_stages) < 1:
         raise ValueError("max_stages must be at least 1")
-    return _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
+    report = _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
+    _set_states(report, _chain_states(report, None))
+    return report
 
 
 def greedy_asymmetric(alices: int, family: states.StateFamily,
@@ -271,7 +276,9 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
     if max_bobs is not None and operator.index(max_bobs) < 1:
         raise ValueError("max_bobs must be at least 1")
     policy = policy or EpsilonPolicy.asymmetric_default()
-    return _run_chain(family, alices - 1, max_bobs, policy.sharpness)
+    report = _run_chain(family, alices - 1, max_bobs, policy.sharpness)
+    _set_states(report, _chain_states(report, alices - 1))
+    return report
 
 
 def run_symmetric_schedule(family: states.StateFamily,
@@ -285,16 +292,19 @@ def run_symmetric_schedule(family: states.StateFamily,
     if not lambdas:
         raise ValueError("schedule must have at least one stage")
     SharpnessSchedule((lam, lam) for lam in lambdas)  # checks entries before any channel
-    return _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
+    report = _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
+    _set_states(report, _chain_states(report, None))
+    return report
 
 
 def _symmetric_edge_before(h: float, cap: float = 1.0, need: float = 1.0) -> float:
     """Backward stage map: the least g from which one symmetric stage of
     sharpness at most ``cap`` detects (lam^2 g >= need) and hands on at
-    least h >= need/9, need max(1/cap^2, E(h/need)).  The stage at
-    lam = 1/sqrt(g) leaves ((sqrt(g) + 2 sqrt(g - 1)) / 3)^2 >= 1/9, rising
-    with g, so sqrt(E(h)) = -sqrt(h) + 2 sqrt(h + 1/3), bit for bit at the
-    defaults; need scales g and h alike, and the cap adds g >= need/cap^2.
+    least h, need max(1/cap^2, E(h/need)).  The stage at lam = 1/sqrt(g)
+    leaves ((sqrt(g) + 2 sqrt(g - 1)) / 3)^2 >= 1/9, rising with g, so
+    sqrt(E(h)) = -sqrt(h) + 2 sqrt(h + 1/3), bit for bit at the defaults,
+    with h clamped at 1/9, where E = 1: every detecting stage hands on that
+    much.  need scales g and h alike, and the cap adds g >= need/cap^2.
 
     Count lemma: no schedule hands on more.  (1) At fixed P = xi lam,
     s(xi) s(lam) peaks at xi = lam, as log s(e^a) is concave: its slope
@@ -303,7 +313,8 @@ def _symmetric_edge_before(h: float, cap: float = 1.0, need: float = 1.0) -> flo
     (3) The zero-slack map rises with g; by induction no schedule's k-th g
     exceeds the zero-slack chain's.
     """
-    root = -math.sqrt(h / need) + 2.0 * math.sqrt(h / need + 1.0 / 3.0)
+    x = max(h / need, 1.0 / 9.0)
+    root = -math.sqrt(x) + 2.0 * math.sqrt(x + 1.0 / 3.0)
     return need * max(1.0 / (cap * cap), root * root)
 
 

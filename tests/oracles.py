@@ -455,9 +455,13 @@ def symmetric_edge_before_mp(h, cap=1, need=1):
         lam = mpmath.sqrt(need / g)
         return g * ((1 + 2 * mpmath.sqrt(1 - lam * lam)) / 3) ** 2 - h
 
-    # the stage hands on need s(1)^2 = need / 9 <= h at g = need, and at
-    # least g / 9 at any g since s >= 1/3, so the root lies in [need, 9 h + need]
-    root = mpmath.findroot(handed_on, (need, 9 * h + need), solver="illinois")
+    # the stage hands on need s(1)^2 = need / 9 at g = need, so for h up to
+    # need / 9 the least detecting g, need, is the root; above it the stage
+    # hands on at least g / 9 since s >= 1/3, so the root lies in [need, 9 h + need]
+    if h <= need / 9:
+        root = need
+    else:
+        root = mpmath.findroot(handed_on, (need, 9 * h + need), solver="illinois")
     return max(need / cap**2, root)
 
 

@@ -219,8 +219,10 @@ def test_record_is_an_immutable_value(name):
 
 
 @pytest.mark.parametrize("stages", [[(0.9, 0.8), (1.0, 0.5)], [[0.9, 0.8], [1.0, 0.5]],
-                                    iter(((0.9, 0.8), (1.0, 0.5)))],
-                         ids=["list", "list of lists", "iterator"])
+                                    iter(((0.9, 0.8), (1.0, 0.5))), ([0.9, 0.8], [1.0, 0.5]),
+                                    ((0.9, 0.8), [1.0, 0.5])],
+                         ids=["list", "list of lists", "iterator", "tuple of lists",
+                              "tuple with a list"])
 def test_schedules_from_lists_are_tuples_that_compare_and_hash_alike(stages):
     schedule = sequential.SharpnessSchedule(stages)
     assert schedule.stages == ((0.9, 0.8), (1.0, 0.5))

@@ -60,9 +60,8 @@ def test_closed_form_detectability_matches_matrix_route():
 
 
 def test_detectability_of_a_chain_that_carries_no_states():
-    # the stage loop without states (as the CLI runs it) records the same g
-    stateless = sequential._run_chain(BELL, None, 3, lambda t, stage, _: BEST_SCHEDULE[stage - 1],
-                                      carry_states=False)
+    # the stage loop, which builds no states (as the CLI runs it), records the same g
+    stateless = sequential._run_chain(BELL, None, 3, lambda t, stage, _: BEST_SCHEDULE[stage - 1])
     assert stateless.states == ()
     report = resource.detectability(stateless)
     assert report == resource.detectability(best_chain())
@@ -661,7 +660,7 @@ def test_closed_form_report_matches_matrix_chain():
         lams = tuple(float(v) for v in rng.uniform(1e-3, 1.0, size=rng.integers(1, 5)))
         fixed = sequential.run_symmetric_schedule(family, lams)
         stateless = sequential._run_chain(family, None, len(lams),
-                                          lambda t, stage, _: lams[stage - 1], carry_states=False)
+                                          lambda t, stage, _: lams[stage - 1])
         assert resource.detectability(stateless) == resource.detectability(fixed)
         first, later = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
         policy = sequential.EpsilonPolicy(first, later * bool(rng.integers(2)),

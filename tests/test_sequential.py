@@ -427,6 +427,21 @@ def test_stage_map_matches_50_digit_backward_map():
             assert abs(oracles.symmetric_edge_before_mp(h, 1, need) - scaled) < 1e-45
 
 
+@pytest.mark.parametrize("need", [1.0, 1.5, math.sqrt(3.0)])
+@pytest.mark.parametrize("cap", [1.0, 0.95, 0.9])
+def test_stage_map_up_to_need_over_nine_is_the_least_detecting_g(cap, need):
+    # every detecting stage hands on at least need/9, so h up to that asks
+    # only that the stage detect: the closed form's other root (E(0) = 4/3)
+    # lies above need/cap^2 at these caps
+    mpmath = pytest.importorskip("mpmath")
+    for h in (0.0, 0.05, need / 9):
+        edge = seq._symmetric_edge_before(h, cap, need)
+        assert edge == need * (1.0 / (cap * cap)), (h, cap, need)
+        with mpmath.workdps(50):
+            exact = oracles.symmetric_edge_before_mp(h, cap, need)
+            assert abs(mpmath.mpf(edge) - exact) <= 8 * math.ulp(float(exact)), (h, cap, need)
+
+
 def _brute_window(g, cap, next_edge, need, lams):
     """Least and most grid sharpness that detects, keeps to the cap and
     hands on at least next_edge, or None when none does."""
@@ -588,7 +603,7 @@ def test_chain_states_carry_read_only_coefficients_of_their_matrix(family, chain
         assert np.max(np.abs(c - oracles.pauli_coefficients(rho.matrix))) < 1e-15
 
 
-def _random_chain(rng):
+def _random_policy_chain(rng):
     """A seeded greedy chain over all four families, both layouts and both
     rounding modes, with the number of leading two-sided stages (None: all)."""
     kind = rng.choice(states.KINDS)
@@ -612,7 +627,7 @@ def test_chain_states_are_bitwise_the_numpy_route():
     rng = np.random.default_rng(2024)
     carried = 0
     for _ in range(200):
-        report, two_sided_stages = _random_chain(rng)
+        report, two_sided_stages = _random_policy_chain(rng)
         coefficients = [qcore.pauli_coefficients(rho) for rho in report.states]
         for rho, c in zip(report.states, coefficients):
             assert np.array_equal(rho.matrix, qcore.from_pauli_coefficients(c))
