@@ -33,8 +33,11 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 _FORMATS = ("json", "csv", "text")
-_TABLES = ("1", "2", "both")
+# each --table choice and the numbers of the tables it prints
+_TABLES = {"1": (1,), "2": (2,), "both": (1, 2)}
 _TABLE1_HEADER = "family,detectability,total_rom,eta_ebits"
+# the flag carrying each family's parameter; bell takes none
+_PARAM_FLAG = {states.WERNER: "p", states.COLORED: "p", states.PURE: "theta"}
 
 
 def _quantize(value, digits: int):
@@ -175,6 +178,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_max.add_argument("--paper-rounding", dest="paper_rounding", action="store_true",
                        help="snap stage sharpness onto the 0.01 grid")
     _add_common(p_max)
+    p_max.set_defaults(handler=_cmd_max_observers)
 
     p_cmp = sub.add_parser("compare",
                            help="sequential vs non-sequential resource tables")
@@ -183,6 +187,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_cmp.add_argument("--paper-rounding", dest="paper_rounding", action="store_true",
                        help="also emit two-decimal cascade columns")
     _add_common(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_wit = sub.add_parser("witness-eval",
                            help="expectation of the modulated witness on a state")
@@ -192,23 +197,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_wit.add_argument("--lambda", dest="lam", type=_sharpness, default=1.0,
                        help="second-wing sharpness in (0, 1] (default 1)")
     _add_common(p_wit)
+    p_wit.set_defaults(handler=_cmd_witness_eval)
 
     return parser, sub
 
 
 def _family_from_args(parser, args) -> states.StateFamily:
+    """The family of ``--state``, its parameter read from its own flag; the
+    other family flag is ignored, except that bell refuses both."""
+    flag = _PARAM_FLAG.get(args.state)
+    param = flag and getattr(args, flag)
+    if flag is None and (args.p is not None or args.theta is not None):
+        parser.error("bell state takes neither --p nor --theta")
+    if flag is not None and param is None:
+        parser.error(f"--state {args.state} requires --{flag}")
     try:
-        if args.state == states.BELL:
-            if args.p is not None or args.theta is not None:
-                parser.error("bell state takes neither --p nor --theta")
-            return states.StateFamily.bell()
-        if args.state in (states.WERNER, states.COLORED):
-            if args.p is None:
-                parser.error(f"--state {args.state} requires --p")
-            return states.StateFamily(args.state, args.p)
-        if args.theta is None:
-            parser.error("--state pure requires --theta")
-        return states.StateFamily.pure(args.theta)
+        return states.StateFamily(args.state, param)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -222,35 +226,29 @@ def _cmd_max_observers(parser, args) -> int:
                                       paper_rounding=args.paper_rounding)
     # greedy_asymmetric's stage loop, without the matrix states it replays: none is printed
     report = sequential._run_chain(family, args.alices - 1, args.bobs, policy.sharpness)
-    d = args.digits
-    payload = {
-        "scenario": {"alices": args.alices, "bobs": args.bobs,
-                     "state": family.kind, "parameter": family.param},
-        "bobs_detected": report.detected_stages,
-        "schedule": [[xi, lam] for xi, lam in report.schedule.stages],
-        "thresholds": list(report.thresholds),
-    }
+    d, schedule = args.digits, report.schedule.stages
     if args.format == "json":
-        _print_json(payload, d)
-    elif args.format == "csv":
-        lines = ["stage,xi,lambda,threshold,detected"]
-        for i, t in enumerate(report.thresholds):
-            if i < report.detected_stages:
-                xi, lam = report.schedule.stages[i]
-                lines.append(f"{i + 1},{_fmt(xi, d)},{_fmt(lam, d)},{_fmt(t, d)},true")
-            else:
-                lines.append(f"{i + 1},,,{_fmt(t, d)},false")
-        print("\n".join(lines))
+        _print_json({
+            "scenario": {"alices": args.alices, "bobs": args.bobs,
+                         "state": family.kind, "parameter": family.param},
+            "bobs_detected": report.detected_stages,
+            "schedule": [[xi, lam] for xi, lam in schedule],
+            "thresholds": list(report.thresholds),
+        }, d)
+        return EXIT_OK
+    # each examined stage: its threshold, and its (xi, lambda) if it detected, else blanks
+    rows = []
+    for i, t in enumerate(report.thresholds, 1):
+        xi, lam = (_fmt(v, d) for v in schedule[i - 1]) if i <= len(schedule) else ("", "")
+        rows.append((i, _fmt(t, d), xi, lam))
+    if args.format == "csv":
+        lines = ["stage,xi,lambda,threshold,detected"] + [
+            f"{i},{xi},{lam},{t},{'true' if xi else 'false'}" for i, t, xi, lam in rows]
     else:
-        lines = [f"bobs_detected: {report.detected_stages}"]
-        for i, t in enumerate(report.thresholds):
-            if i < report.detected_stages:
-                xi, lam = report.schedule.stages[i]
-                lines.append(f"stage {i + 1}: threshold {_fmt(t, d)} "
-                             f"xi {_fmt(xi, d)} lambda {_fmt(lam, d)}")
-            else:
-                lines.append(f"stage {i + 1}: threshold {_fmt(t, d)} (not detectable)")
-        print("\n".join(lines))
+        lines = [f"bobs_detected: {report.detected_stages}"] + [
+            f"stage {i}: threshold {t} " + (f"xi {xi} lambda {lam}" if xi else "(not detectable)")
+            for i, t, xi, lam in rows]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -274,18 +272,16 @@ def _cmd_compare(parser, args) -> int:
     from . import resource
 
     tab1, tab2 = resource.build_comparison_tables(paper_rounded=args.paper_rounding)
+    tables = [(n, (tab1, tab2)[n - 1]) for n in _TABLES[args.table]]
     d = args.digits
     if args.format == "json":
-        if args.table == "1":
-            payload = {"table": 1, **_table_payload(tab1)}
-        elif args.table == "2":
-            payload = {"table": 2, **_table_payload(tab2)}
-        else:
-            payload = {"table1": _table_payload(tab1), "table2": _table_payload(tab2)}
-        _print_json(payload, d)
+        # one table prints flat under its number, both under table1 and table2
+        (n, rows), *more = tables
+        _print_json({f"table{n}": _table_payload(rows) for n, rows in tables} if more
+                    else {"table": n, **_table_payload(rows)}, d)
         return EXIT_OK
 
-    def csv_lines(rows):
+    def csv_block(n, rows):
         keys = next((list(r.paper_rounded) for r in rows if r.paper_rounded), [])
         out = [",".join([_TABLE1_HEADER] + [f"paper_rounded_{k}" for k in keys])]
         for r in rows:
@@ -293,10 +289,10 @@ def _cmd_compare(parser, args) -> int:
                      _fmt(r.eta_ebits, d)]
             cells += [_fmt(r.paper_rounded[k], d) if r.paper_rounded else "" for k in keys]
             out.append(",".join(cells))
-        return out
+        return "\n".join(out)
 
-    def text_lines(rows, title):
-        out = [title]
+    def text_block(n, rows):
+        out = [f"table {n}"]
         for r in rows:
             line = (f"  {r.family}: D {_fmt(r.detectability, d)}, "
                     f"RoM {_fmt(r.total_rom, d)}, eta {_fmt(r.eta_ebits, d)} ebits")
@@ -304,17 +300,11 @@ def _cmd_compare(parser, args) -> int:
                 line += "; paper-rounded " + ", ".join(
                     f"{k} {_fmt(v, d)}" for k, v in r.paper_rounded.items())
             out.append(line)
-        return out
+        return "\n".join(out)
 
-    lines = []
-    csv = args.format == "csv"
-    if args.table in ("1", "both"):
-        lines += csv_lines(tab1) if csv else text_lines(tab1, "table 1")
-    if args.table in ("2", "both"):
-        if csv and args.table == "both":
-            lines.append("")
-        lines += csv_lines(tab2) if csv else text_lines(tab2, "table 2")
-    print("\n".join(lines))
+    # a blank line separates csv tables; text tables follow each other
+    block, gap = (csv_block, "\n\n") if args.format == "csv" else (text_block, "\n")
+    print(gap.join(block(n, rows) for n, rows in tables))
     return EXIT_OK
 
 
@@ -341,14 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         _apply_config(parser, subparsers, args)
         args = parser.parse_args(argv)
-    handlers = {
-        "max-observers": _cmd_max_observers,
-        "compare": _cmd_compare,
-        "witness-eval": _cmd_witness_eval,
-    }
     try:
         # a handler's usage errors print the subcommand's usage line
-        return handlers[args.command](subparsers.choices[args.command], args)
+        return args.handler(subparsers.choices[args.command], args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

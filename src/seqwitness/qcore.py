@@ -55,7 +55,7 @@ def pauli(axis: str) -> np.ndarray:
     """
     try:
         return _PAULI[axis.lower()]
-    except KeyError:
+    except (KeyError, AttributeError):  # AttributeError: not a string
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from . import states
@@ -60,6 +61,8 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     the 36-term Kraus sum over 3 directions and 2 outcomes per wing of
     (sqrt(E) x sqrt(E)) rho (sqrt(E) x sqrt(E)) / 9.
     """
+    if not (0.0 < xi <= 1.0 and 0.0 < lam <= 1.0):  # NaN fails
+        raise ValueError("sharpness must lie in (0, 1]")
     # the channels run once per stage, so they reach qcore through the one
     # reference states keeps, not through an import statement on every call
     return _qcore()._scaled_state(rho, average_shrink(xi), average_shrink(lam))
@@ -72,6 +75,8 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     first-wing scale of 1.0 is exact; the test oracle is the 6-term Kraus sum
     of (I x sqrt(E)) rho (I x sqrt(E)) / 3.
     """
+    if not 0.0 < lam <= 1.0:  # NaN fails
+        raise ValueError("sharpness must lie in (0, 1]")
     return _qcore()._scaled_state(rho, 1.0, average_shrink(lam))
 
 
@@ -282,13 +287,15 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
 
 
 def run_symmetric_schedule(family: states.StateFamily,
-                           lambdas: tuple[float, ...]) -> ChainReport:
+                           lambdas: Iterable[float]) -> ChainReport:
     """Evolve the symmetric chain at a fixed per-stage sharpness schedule.
 
     No feasibility decision is taken; thresholds, strengths and incoming
     states are recorded for every stage, including those whose threshold
-    reaches 1, so ``resource.detectability`` reports every stage.
+    reaches 1, so ``resource.detectability`` reports every stage.  Any
+    iterable of sharpnesses is taken, a numpy array or a generator too.
     """
+    lambdas = tuple(lambdas)
     if not lambdas:
         raise ValueError("schedule must have at least one stage")
     SharpnessSchedule((lam, lam) for lam in lambdas)  # checks entries before any channel

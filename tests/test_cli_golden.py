@@ -2,7 +2,8 @@
 
 ``tests/golden/cli.json`` holds the exit status and stdout of a fixed set
 of ``compare``, ``max-observers`` and ``witness-eval`` commands, each run
-in-process through ``cli.main``.  Regenerate it, only when an output change
+in-process through ``cli.main``.  A command that exits 0 writes nothing to
+stderr, and no command prints a traceback.  Regenerate it, only when an output change
 is intended, from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -84,20 +85,20 @@ def all_commands():
 
 
 def run(argv):
-    """(exit status, stdout) of one in-process ``cli.main`` call."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+    """(exit status, stdout, stderr) of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse rejected the flags
             code = exc.code
-    return code, buffer.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def record():
     entries = []
     for argv in all_commands():
-        code, stdout = run(argv)
+        code, stdout, _ = run(argv)
         entries.append({"argv": argv, "exit": code, "stdout": stdout})
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {GOLDEN}")
@@ -116,7 +117,11 @@ def test_golden_file_covers_the_command_set():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))
 def test_cli_output_matches_golden(entry):
-    assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+    code, stdout, stderr = run(entry["argv"])
+    assert (code, stdout) == (entry["exit"], entry["stdout"])
+    assert "Traceback" not in stderr
+    if code == 0:
+        assert stderr == ""
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ def test_observable_validation():
     for direction, lam in ((np.array([1.0, 1.0, 0.0]), 0.5), (ms.Z_AXIS, 0.0), (ms.Z_AXIS, 1.2)):
         with pytest.raises(ValueError):
             ms.UnsharpObservable(direction, lam)
+    with pytest.raises(ValueError, match="outcome must be"):
+        ms.sqrt_effect(ms.UnsharpObservable(ms.Z_AXIS, 0.5), 0)
 
 
 def test_nan_direction_and_pointer_are_rejected():

@@ -27,6 +27,8 @@ def test_pauli_identity_and_bad_axis():
     assert np.allclose(qcore.pauli("identity"), np.eye(2))
     with pytest.raises(ValueError):
         qcore.pauli("w")
+    with pytest.raises(ValueError, match="unknown Pauli axis 3"):
+        qcore.pauli(3)
 
 
 def test_tensor_identity_case():
@@ -244,6 +246,8 @@ def test_eigen_matches_lapack_and_reconstructs():
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qcore.eigen_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="square matrix"):
+        qcore.eigen_hermitian(np.zeros((2, 3)))
 
 
 def test_concurrence_extremes():

@@ -488,6 +488,13 @@ def test_min_rom_infeasible(budget, target, copies, message):
         resource.min_total_rom("werner", budget, target, copies)
 
 
+def test_min_rom_rejects_a_colored_budget_at_g_one():
+    # 0.01 ebits over 3 copies gives a colored parameter that rounds to 0.50,
+    # where g = 1, so no pair can detect
+    with pytest.raises(ValueError, match="state is too weakly correlated"):
+        resource.min_total_rom("colored", 0.01, 0.0)
+
+
 @pytest.mark.parametrize("copies", [0, -1])
 def test_min_rom_needs_a_copy(copies):
     with pytest.raises(ValueError, match="need at least one copy"):

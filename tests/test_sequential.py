@@ -88,6 +88,18 @@ def test_channels_reject_non_hermitian_and_two_by_two_input():
             seq.average_one_sided(bad, 0.6)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 0.0, 2.0, math.nan])
+def test_channels_reject_sharpness_outside_the_unit_interval(bad):
+    # -0.5 would act as 0.5, 0 would pass as the identity channel, and 2.0
+    # would fail inside the square root of average_shrink
+    rho = states.build(BELL)
+    for run in (lambda: seq.average_two_sided(rho, bad, 0.5),
+                lambda: seq.average_two_sided(rho, 0.5, bad),
+                lambda: seq.average_one_sided(rho, bad)):
+        with pytest.raises(ValueError, match=r"sharpness must lie in \(0, 1\]"):
+            run()
+
+
 def test_violation_threshold_bell():
     w = witness.witness_psi_plus()
     t = seq.violation_threshold(w, states.build(BELL))
@@ -121,6 +133,8 @@ def test_violation_threshold_and_expectation_reject_one_qubit_states():
         seq.violation_threshold(w, qubit)
     with pytest.raises(ValueError, match="Pauli coefficients need a Hermitian 4x4 matrix"):
         witness.expectation(w, qubit)
+    with pytest.raises(ValueError, match="concurrence is defined for two-qubit states"):
+        qcore.concurrence_wootters(qubit)
 
 
 def test_violation_threshold_rejects_modulated_witness():
@@ -334,6 +348,8 @@ def test_greedy_asymmetric_max_bobs_cap():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="max_bobs"):
             seq.greedy_asymmetric(2, BELL, max_bobs=cap)
+    with pytest.raises(ValueError, match="need at least one observer on the first wing"):
+        seq.greedy_asymmetric(0, BELL)
 
 
 @pytest.mark.parametrize("run", [
@@ -700,6 +716,16 @@ def test_run_symmetric_schedule_rejects_an_empty_schedule_before_any_channel(mon
     monkeypatch.setattr(states, "build", no_build)
     with pytest.raises(ValueError, match="schedule must have at least one stage"):
         seq.run_symmetric_schedule(BELL, ())
+
+
+def test_run_symmetric_schedule_takes_any_iterable_of_sharpnesses():
+    lambdas = (0.73, 0.8, 1.0)
+    expected = seq.run_symmetric_schedule(BELL, list(lambdas))
+    assert expected.schedule.stages == tuple((lam, lam) for lam in lambdas)
+    for given in (lambdas, np.array(lambdas), (lam for lam in lambdas)):
+        assert seq.run_symmetric_schedule(BELL, given) == expected
+    with pytest.raises(ValueError, match="schedule must have at least one stage"):
+        seq.run_symmetric_schedule(BELL, iter(()))
 
 
 @pytest.mark.parametrize("family", [BELL, states.StateFamily.werner(0.9),

@@ -174,6 +174,11 @@ def test_separability_floor_statistics():
     assert witness.separability_floor(zero, 100, seed=0) == 0.0
 
 
+def test_separability_floor_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        witness.separability_floor(witness.witness_psi_plus(), 0)
+
+
 def test_separability_floor_is_reproducible():
     w = witness.witness_psi_plus()
     a = witness.separability_floor(w, 5_000, seed=42)
