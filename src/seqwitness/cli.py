@@ -203,12 +203,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
 
 def _family_from_args(parser, args) -> states.StateFamily:
-    """The family of ``--state``, its parameter read from its own flag; the
-    other family flag is ignored, except that bell refuses both."""
+    """The family of ``--state``, its parameter read from its own flag; a
+    family flag that the family does not take is a usage error."""
     flag = _PARAM_FLAG.get(args.state)
+    extra = [f for f in ("p", "theta") if f != flag and getattr(args, f) is not None]
+    if extra:
+        parser.error("bell state takes neither --p nor --theta" if flag is None
+                     else f"{args.state} state takes --{flag}, not --{extra[0]}")
     param = flag and getattr(args, flag)
-    if flag is None and (args.p is not None or args.theta is not None):
-        parser.error("bell state takes neither --p nor --theta")
     if flag is not None and param is None:
         parser.error(f"--state {args.state} requires --{flag}")
     try:

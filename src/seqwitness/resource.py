@@ -28,14 +28,19 @@ _BOUNDARY_MARGIN = 1e-12
 
 
 class DetectabilityReport(states._Record):
-    """Stage-wise witness expectations of a chain and their sum."""
+    """Stage-wise witness expectations of a chain and the schedule that gave
+    them; their sum ``total`` is a read-only property, outside the fields."""
 
-    __slots__ = ("per_stage", "total", "schedule")
+    __slots__ = ("per_stage", "schedule")
 
-    def __init__(self, per_stage: tuple[float, ...], total: float, schedule: SharpnessSchedule):
+    def __init__(self, per_stage: tuple[float, ...], schedule: SharpnessSchedule):
         _set(self, "per_stage", per_stage)
-        _set(self, "total", total)
         _set(self, "schedule", schedule)
+
+    @property
+    def total(self) -> float:
+        """Detectability: the sum of the stage-wise witness values."""
+        return float(sum(self.per_stage))
 
 
 class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
@@ -70,7 +75,7 @@ def detectability(chain: ChainReport) -> DetectabilityReport:
         raise ValueError("detectability needs at least one stage")
     per = tuple(states.witness_value(g, xi, lam)
                 for (xi, lam), g in zip(chain.schedule.stages, chain.strengths))
-    return DetectabilityReport(per_stage=per, total=float(sum(per)), schedule=chain.schedule)
+    return DetectabilityReport(per_stage=per, schedule=chain.schedule)
 
 
 def maximize_detectability(family: states.StateFamily,
@@ -201,17 +206,22 @@ def entanglement_budget(family: states.StateFamily, copies: int) -> float:
 
 
 class NonSequentialSolution(states._Record):
-    """Internals of the equal-entanglement RoM minimization."""
+    """Internals of the equal-entanglement RoM minimization; the total RoM
+    ``rom`` is a read-only property of ``lambdas``, outside the fields."""
 
-    __slots__ = ("param", "per_pair_floor", "quadratic_constraint", "lambdas", "rom")
+    __slots__ = ("param", "per_pair_floor", "quadratic_constraint", "lambdas")
 
     def __init__(self, param: float, per_pair_floor: float, quadratic_constraint: float,
-                 lambdas: tuple[float, float, float], rom: float):
+                 lambdas: tuple[float, ...]):
         _set(self, "param", param)
         _set(self, "per_pair_floor", per_pair_floor)
         _set(self, "quadratic_constraint", quadratic_constraint)
         _set(self, "lambdas", lambdas)
-        _set(self, "rom", rom)
+
+    @property
+    def rom(self) -> float:
+        """Total RoM: 2 sum(lam), each pair measuring at xi = lam."""
+        return 2.0 * sum(self.lambdas)
 
 
 def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, ...]:
@@ -266,8 +276,7 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
 
     best = _greedy_fill(constraint, floor, copies)
     return NonSequentialSolution(param=param, per_pair_floor=floor,
-                                 quadratic_constraint=constraint, lambdas=best,
-                                 rom=2.0 * sum(best))
+                                 quadratic_constraint=constraint, lambdas=best)
 
 
 def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,

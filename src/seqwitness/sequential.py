@@ -168,26 +168,35 @@ class ChainReport(states._Record, repr_omit=("states",)):
     """Outcome of a chain run.
 
     ``strengths`` holds the correlation strength g entering every stage
-    examined, and ``thresholds`` its raw violation threshold 1/g: one per
-    stage, plus a last one of at least 1 when a greedy chain ends at an
+    examined: one per stage, plus a last one when a greedy chain ends at an
     infeasible stage (none when it ends at its stage cap, nor for a fixed
     schedule).  ``states`` holds the matrix state entering each recorded
     stage, which the library chains replay from the schedule; it decides
-    nothing and the repr omits it.  A fixed schedule records every stage,
-    so its ``detected_stages`` is the schedule's length, detecting or not.
+    nothing and the repr omits it.  ``detected_stages`` and ``thresholds``
+    are read-only properties of the schedule and the strengths, outside the
+    fields.  A fixed schedule records every stage, so its
+    ``detected_stages`` is the schedule's length, detecting or not.
     """
 
-    __slots__ = ("family", "detected_stages", "schedule", "thresholds", "strengths", "states")
+    __slots__ = ("family", "schedule", "strengths", "states")
 
-    def __init__(self, family: states.StateFamily, detected_stages: int,
-                 schedule: SharpnessSchedule, thresholds: tuple[float, ...],
+    def __init__(self, family: states.StateFamily, schedule: SharpnessSchedule,
                  strengths: tuple[float, ...], states: tuple[DensityMatrix, ...]):
         _set_family(self, family)
-        _set_detected_stages(self, detected_stages)
         _set_schedule(self, schedule)
-        _set_thresholds(self, thresholds)
         _set_strengths(self, strengths)
         _set_states(self, states)
+
+    @property
+    def detected_stages(self) -> int:
+        """Number of recorded stages: the schedule's length."""
+        return len(self.schedule.stages)
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        """Raw violation threshold 1/g of every stage examined, one per
+        strength; the last one reaches 1 when a greedy chain ended there."""
+        return tuple([_threshold(g) for g in self.strengths])
 
 
 # the slot setters, which bypass the refusing __setattr__ on construction
@@ -197,11 +206,15 @@ _set_later_stage_slack = EpsilonPolicy.later_stage_slack.__set__
 _set_paper_rounding = EpsilonPolicy.paper_rounding.__set__
 _set_stages = SharpnessSchedule.stages.__set__
 _set_family = ChainReport.family.__set__
-_set_detected_stages = ChainReport.detected_stages.__set__
 _set_schedule = ChainReport.schedule.__set__
-_set_thresholds = ChainReport.thresholds.__set__
 _set_strengths = ChainReport.strengths.__set__
 _set_states = ChainReport.states.__set__
+
+
+def _threshold(g: float) -> float:
+    """Violation threshold 1/g of a stage entering at correlation strength
+    g; inf at the cut of ``violation_threshold``, a slope -g/4 >= -1e-15."""
+    return 1.0 / g if g > 4e-15 else math.inf
 
 
 def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
@@ -212,29 +225,24 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
     wings; ``None`` means every stage does (the symmetric scenario).  Once
     the limit is reached the remaining wing-one observer is projective and
     stages modulate the witness on the second wing only.  Each stage
-    records its g and violation threshold 1/g, then takes the sharpness
-    ``sharpness(threshold, stage, two_sided)``; ``None`` ends the chain.
+    records its g, then takes the sharpness ``sharpness(threshold, stage,
+    two_sided)`` at its violation threshold 1/g; ``None`` ends the chain.
     The stage multiplies g by s(lam)^2 (two-sided) or s(lam) (one-sided).
     """
     g = states.correlation_strength(family)
     stages: list[tuple[float, float]] = []
-    thresholds: list[float] = []
     strengths: list[float] = []
     while max_stages is None or len(stages) < max_stages:
         stage = len(stages) + 1
         two_sided = two_sided_stages is None or stage <= two_sided_stages
-        # the cut of violation_threshold: slope -g/4 >= -1e-15
-        t = 1.0 / g if g > 4e-15 else math.inf
-        thresholds.append(t)
         strengths.append(g)
-        s = sharpness(t, stage, two_sided)
+        s = sharpness(_threshold(g), stage, two_sided)
         if s is None:
             break
         stages.append((s if two_sided else 1.0, s))
         shrink = average_shrink(s)
         g *= shrink * shrink if two_sided else shrink
-    return ChainReport(family, len(stages), SharpnessSchedule(tuple(stages)),
-                       tuple(thresholds), tuple(strengths), ())
+    return ChainReport(family, SharpnessSchedule(tuple(stages)), tuple(strengths), ())
 
 
 def _chain_states(report: ChainReport, two_sided_stages: int | None) -> tuple[DensityMatrix, ...]:
@@ -298,7 +306,10 @@ def run_symmetric_schedule(family: states.StateFamily,
     lambdas = tuple(lambdas)
     if not lambdas:
         raise ValueError("schedule must have at least one stage")
-    SharpnessSchedule((lam, lam) for lam in lambdas)  # checks entries before any channel
+    # an entry above 1 gets the schedule's message, not average_shrink's math
+    # domain error; the entries become floats only once checked, so a str fails
+    SharpnessSchedule((lam, lam) for lam in lambdas)
+    lambdas = tuple(map(float, lambdas))
     report = _run_chain(family, None, len(lambdas), lambda t, stage, _: lambdas[stage - 1])
     _set_states(report, _chain_states(report, None))
     return report

@@ -243,6 +243,36 @@ def test_family_errors_print_the_subcommand_usage(argv, capsys):
     assert f"\nseqwitness {argv[0]}: error: " in err
 
 
+@pytest.mark.parametrize("command", ["witness-eval", "max-observers"])
+@pytest.mark.parametrize("state,flags,message", [
+    ("werner", {"p": "0.5", "theta": "0.3"}, "werner state takes --p, not --theta"),
+    ("colored", {"theta": "0.3", "p": "0.9"}, "colored state takes --p, not --theta"),
+    ("pure", {"theta": "0.3", "p": "0.5"}, "pure state takes --theta, not --p"),
+    ("werner", {"theta": "0.3"}, "werner state takes --p, not --theta"),
+    ("bell", {"p": "0.5"}, "bell state takes neither --p nor --theta"),
+    ("bell", {"theta": "0.3"}, "bell state takes neither --p nor --theta"),
+], ids=["werner-theta", "colored-theta", "pure-p", "werner-theta-only", "bell-p", "bell-theta"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_a_family_flag_the_family_does_not_take_is_a_usage_error(
+        tmp_path, capsys, command, state, flags, message, via_config):
+    # every family refuses the parameter flag of another, from the command
+    # line or a config file alike, with the subcommand's usage
+    argv = [command, "--state", state]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in flags.items()))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [arg for key, value in flags.items() for arg in (f"--{key}", value)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"usage: seqwitness {command} [-h]")
+    assert err.endswith(f"\nseqwitness {command}: error: {message}\n")
+
+
 def test_digits_flag_controls_precision(capsys):
     _, out = run(capsys, "witness-eval", "--state", "bell", "--xi", "0.777",
                  "--lambda", "0.777", "--format", "text", "--digits", "3")

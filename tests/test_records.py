@@ -6,11 +6,16 @@ and hashing by field, a dataclass-style repr, pickling, copying and
 positional pattern matching, and their construction-time checks.  Matrix
 values, and a chain report that carries states, compare and hash by array
 entries; their pickles and copies run the constructor's checks again and
-hold read-only arrays.  None of this loads ``dataclasses``."""
+hold read-only arrays.  A value that a record's stored fields fix (a
+chain's stage count and thresholds, a detectability total, a total RoM) is
+a read-only property outside them, equal bit for bit to what the record
+stored before it became one.  None of this loads ``dataclasses``."""
 
 import copy
+import math
 import os
 import pickle
+import random
 import re
 import struct
 import subprocess
@@ -63,31 +68,29 @@ _CASES = {
     ),
     "ChainReport": (
         sequential.ChainReport,
-        {"family": states.StateFamily.bell(), "detected_stages": 2, "schedule": _SCHEDULE,
-         "thresholds": (1 / 3, 0.5, 1.25), "strengths": (3.0, 2.0, 0.8), "states": ()},
-        {"family": states.StateFamily.bell(), "detected_stages": 2, "schedule": _SCHEDULE,
-         "thresholds": (1 / 3, 0.5, 1.25), "strengths": (3.0, 2.0, 0.8), "states": (None,)},
+        {"family": states.StateFamily.bell(), "schedule": _SCHEDULE,
+         "strengths": (3.0, 2.0, 0.8), "states": ()},
+        {"family": states.StateFamily.bell(), "schedule": _SCHEDULE,
+         "strengths": (3.0, 2.0, 0.8), "states": (None,)},
         None,
-        "ChainReport(family=StateFamily(kind='bell', param=None), detected_stages=2, "
-        f"schedule={_SCHEDULE_REPR}, thresholds=(0.3333333333333333, 0.5, 1.25), "
-        "strengths=(3.0, 2.0, 0.8))",
+        "ChainReport(family=StateFamily(kind='bell', param=None), "
+        f"schedule={_SCHEDULE_REPR}, strengths=(3.0, 2.0, 0.8))",
         (),
     ),
     "ChainReport with states": (
         sequential.ChainReport, _CHAIN_FIELDS,
         {**_CHAIN_FIELDS, "states": _CHAIN.states[:-1]},
         None,
-        f"ChainReport(family={_CHAIN.family!r}, detected_stages={_CHAIN.detected_stages!r}, "
-        f"schedule={_CHAIN.schedule!r}, thresholds={_CHAIN.thresholds!r}, "
+        f"ChainReport(family={_CHAIN.family!r}, schedule={_CHAIN.schedule!r}, "
         f"strengths={_CHAIN.strengths!r})",
         (),
     ),
     "DetectabilityReport": (
         resource.DetectabilityReport,
-        {"per_stage": (-0.125, -0.0625), "total": -0.1875, "schedule": _SCHEDULE},
-        {"per_stage": (-0.125, -0.0625), "total": -0.25, "schedule": _SCHEDULE},
+        {"per_stage": (-0.125, -0.0625), "schedule": _SCHEDULE},
+        {"per_stage": (-0.125, -0.125), "schedule": _SCHEDULE},
         None,
-        f"DetectabilityReport(per_stage=(-0.125, -0.0625), total=-0.1875, schedule={_SCHEDULE_REPR})",
+        f"DetectabilityReport(per_stage=(-0.125, -0.0625), schedule={_SCHEDULE_REPR})",
         (),
     ),
     "ComparisonRow": (
@@ -108,12 +111,12 @@ _CASES = {
     "NonSequentialSolution": (
         resource.NonSequentialSolution,
         {"param": 0.8, "per_pair_floor": 0.625, "quadratic_constraint": 1.25,
-         "lambdas": (1.0, 0.625, 0.625), "rom": 4.5},
+         "lambdas": (1.0, 0.625, 0.625)},
         {"param": 0.8, "per_pair_floor": 0.625, "quadratic_constraint": 1.25,
-         "lambdas": (1.0, 1.0, 0.25), "rom": 4.5},
+         "lambdas": (1.0, 1.0, 0.25)},
         None,
         "NonSequentialSolution(param=0.8, per_pair_floor=0.625, quadratic_constraint=1.25, "
-        "lambdas=(1.0, 0.625, 0.625), rom=4.5)",
+        "lambdas=(1.0, 0.625, 0.625))",
         (),
     ),
     "DensityMatrix": (
@@ -234,6 +237,116 @@ def test_schedules_from_lists_are_tuples_that_compare_and_hash_alike(stages):
 def test_a_schedule_keeps_the_tuple_it_is_given():
     stages = ((0.9, 0.8), (1.0, 0.5))
     assert sequential.SharpnessSchedule(stages).stages is stages
+
+
+# (record, {derived value's name: its value}); g = 4e-15 is the threshold's
+# cut, where violation_threshold's slope -g/4 is -1e-15, and gives inf
+_DERIVED = (
+    (sequential.ChainReport(states.StateFamily.bell(), _SCHEDULE, (3.0, 2.0, 0.8, 4e-15), ()),
+     {"detected_stages": 2, "thresholds": (1 / 3, 0.5, 1.25, math.inf)}),
+    (resource.DetectabilityReport((-0.125, -0.0625), _SCHEDULE), {"total": -0.1875}),
+    (resource.NonSequentialSolution(0.8, 0.625, 1.25, (1.0, 0.625, 0.625)), {"rom": 4.5}),
+)
+
+
+@pytest.mark.parametrize("record,derived", _DERIVED, ids=[type(r).__name__ for r, _ in _DERIVED])
+def test_derived_values_are_read_only_properties_outside_the_fields(record, derived):
+    cls = type(record)
+    stored = {name: getattr(record, name) for name in cls.__match_args__}
+    for name, value in derived.items():
+        assert getattr(record, name) == value
+        assert isinstance(vars(cls)[name], property)
+        assert name not in cls.__match_args__ and f"{name}=" not in repr(record)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, value)
+        # the keyword of a stored value that is now derived is refused
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            cls(**stored, **{name: value})
+    assert cls(**stored) == record
+
+
+def _bits(value):
+    """A float, or a tuple of them, as its IEEE 754 bit patterns."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return struct.pack("<d", value)
+
+
+def _stored_chain_values(family, two_sided_stages, max_stages, sharpness):
+    """(detected_stages, thresholds) as the stage loop stored them before
+    they became properties: its own count of recorded stages, and the cut
+    of each stage's g it handed to ``sharpness``."""
+    g = states.correlation_strength(family)
+    stages, thresholds = [], []
+    while max_stages is None or len(stages) < max_stages:
+        stage = len(stages) + 1
+        two_sided = two_sided_stages is None or stage <= two_sided_stages
+        t = 1.0 / g if g > 4e-15 else math.inf
+        thresholds.append(t)
+        s = sharpness(t, stage, two_sided)
+        if s is None:
+            break
+        stages.append((s if two_sided else 1.0, s))
+        shrink = sequential.average_shrink(s)
+        g *= shrink * shrink if two_sided else shrink
+    return len(stages), tuple(thresholds)
+
+
+def _random_family(rng):
+    """Any family over its whole range: colored p <= 1/4 has g <= 0 and an
+    infinite threshold, werner p <= 1/3 and colored p <= 1/2 detect nothing."""
+    kind = rng.choice(states.KINDS)
+    if kind == states.BELL:
+        return states.StateFamily.bell()
+    if kind == states.PURE:
+        return states.StateFamily.pure(rng.uniform(1e-9, math.pi / 4.0 - 1e-9))
+    return states.StateFamily(kind, rng.choice([1.0, 0.25, rng.uniform(1e-9, 1.0)]))
+
+
+def test_derived_chain_values_are_the_values_the_stage_loop_stored():
+    # 3,000 seeded chains: greedy symmetric and asymmetric chains under random
+    # policies and stage caps, and fixed schedules
+    rng = random.Random(20261021)
+    for i in range(3000):
+        family = _random_family(rng)
+        policy = sequential.EpsilonPolicy(rng.choice([0.0, rng.uniform(0.0, 0.0999)]),
+                                          rng.choice([0.0, rng.uniform(0.0, 0.0999)]),
+                                          rng.random() < 0.5)
+        cap = rng.choice([None, rng.randint(1, 25)])
+        if i % 3 == 0:
+            report = sequential.greedy_symmetric(family, policy, cap)
+            stored = _stored_chain_values(family, None, cap, policy.sharpness)
+        elif i % 3 == 1:
+            alices = rng.randint(1, 5)
+            report = sequential.greedy_asymmetric(alices, family, policy, cap)
+            stored = _stored_chain_values(family, alices - 1, cap, policy.sharpness)
+        else:
+            lambdas = tuple(rng.uniform(1e-3, 1.0) for _ in range(rng.randint(1, 6)))
+            report = sequential.run_symmetric_schedule(family, lambdas)
+            stored = _stored_chain_values(family, None, len(lambdas),
+                                          lambda t, stage, _: lambdas[stage - 1])
+        assert report.detected_stages == stored[0] == len(report.states)
+        assert _bits(report.thresholds) == _bits(stored[1])
+
+
+def test_derived_totals_and_roms_are_the_values_the_optimizer_stored():
+    # the comparison inputs: every family at its table range, stage caps in
+    # [0.9, 1] and ebit budgets from the least that reaches the target to 2.9
+    rng = random.Random(20261021)
+    ranges = {states.WERNER: (0.93, 1.0), states.COLORED: (0.95, 1.0), states.PURE: (0.6, 0.77)}
+    for _ in range(100):
+        for kind in states.KINDS:
+            family = (states.StateFamily.bell() if kind == states.BELL
+                      else states.StateFamily(kind, rng.uniform(*ranges[kind])))
+            best = resource.maximize_detectability(family,
+                                                   tuple(rng.uniform(0.9, 1.0) for _ in range(3)))
+            assert _bits(best.total) == _bits(float(sum(best.per_stage)))
+            lo = -2.0 * best.total + 0.05
+            budget = lo + rng.random() * (2.9 - lo)
+            for noisy in (states.WERNER, states.COLORED, states.PURE):
+                sol = resource._solve_min_rom(noisy, budget, best.total)
+                assert _bits(sol.rom) == _bits(2.0 * sum(sol.lambdas))
+                assert _bits(resource.min_total_rom(noisy, budget, best.total)) == _bits(sol.rom)
 
 
 def test_library_chain_reports_compare_and_hash_by_state_entries():

@@ -341,6 +341,24 @@ def bisect_matching_parameter(kind, schedule, target_detectability):
     return (lo + hi) / 2.0
 
 
+def test_matching_parameter_at_both_ends_of_its_range():
+    # one stage at (1, lam) and target D give werner p = (1 - 4 D) / (3 lam)
+    def match(lam, target):
+        schedule = sequential.SharpnessSchedule(((1.0, lam),))
+        return resource.solve_matching_parameter("werner", schedule, target)
+
+    # the top, p = 1, at D = -1/2 and lam = 1; one step of D lower, p > 1
+    assert match(1.0, -0.5) == 1.0
+    with pytest.raises(ValueError, match="not reachable"):
+        match(1.0, math.nextafter(-0.5, -1.0))
+    # the bottom, p = 1e-9: 1 - 4 D = 2^-53 and lam = 2^-53 / 3e-9 give it
+    # exactly; the next lam up gives one ulp less
+    target, lam = 0.25 - 2.0**-55, 2.0**-53 / 3e-9
+    assert match(lam, target) == 1e-9
+    with pytest.raises(ValueError, match="not reachable"):
+        match(math.nextafter(lam, 1.0), target)
+
+
 def test_solve_matching_parameter_matches_bisection_oracle():
     rng = np.random.default_rng(2024)
     brackets = {"werner": (1e-9, 1.0), "colored": (1e-9, 1.0),
@@ -401,6 +419,12 @@ def test_entanglement_budget_values():
     assert resource.entanglement_budget(states.StateFamily.colored(0.687204), 3) == pytest.approx(1.14, abs=0.02)
     with pytest.raises(ValueError):
         resource.entanglement_budget(BELL, 0)
+
+
+def test_entanglement_budget_of_one_copy_is_the_concurrence():
+    # the least copy count: 1 is taken, 0 refused
+    family = states.StateFamily.werner(0.9)
+    assert resource.entanglement_budget(family, 1) == states.concurrence_closed_form(family)
 
 
 def test_min_total_rom_values():
@@ -486,6 +510,37 @@ def test_min_rom_bounds():
 def test_min_rom_infeasible(budget, target, copies, message):
     with pytest.raises(ValueError, match=message):
         resource.min_total_rom("werner", budget, target, copies)
+
+
+def test_min_rom_takes_one_ebit_per_copy():
+    # c = 1, the top of (0, 1]: a werner copy at p = 1, g = 3
+    sol = resource._solve_min_rom("werner", 3.0, -0.20)
+    assert sol.param == 1.0 and sol.per_pair_floor == 1.0 / math.sqrt(3.0)
+    with pytest.raises(ValueError, match="target concurrence"):
+        resource._solve_min_rom("werner", math.nextafter(3.0, 4.0), -0.20)
+
+
+def test_min_rom_joint_feasibility_at_both_ends():
+    # at 3 ebits over 3 werner copies g = 3, so the quadratic constraint
+    # (3 - 4 D) / 3 must lie in (3 floor^2, 3], floor = 1 / sqrt(3)
+    floor = 1.0 / math.sqrt(3.0)
+    low, high = 3 * floor**2, 3.0
+    # D = -1.5 puts the constraint at 3 exactly: every pair at sharpness 1
+    assert (3 - 4 * -1.5) / 3.0 == high
+    assert resource._solve_min_rom("werner", 3.0, -1.5).lambdas == (1.0, 1.0, 1.0)
+    # one float below -1.5, 3 - 4 D rounds back to 9; two below, it is the
+    # float above 9 and the constraint the float above 3
+    beyond = -1.5 - 2.0**-51
+    assert (3 - 4 * beyond) / 3.0 == math.nextafter(high, 4.0)
+    with pytest.raises(ValueError, match="jointly infeasible"):
+        resource._solve_min_rom("werner", 3.0, beyond)
+    # D = -2^-52 puts it at 3 floor^2 exactly, where every pair sits at the
+    # floor and none detects; D = -2^-51 one step above, which is taken
+    at_floor, above = -(2.0**-52), -(2.0**-51)
+    assert (3 - 4 * at_floor) / 3.0 == low < (3 - 4 * above) / 3.0
+    with pytest.raises(ValueError, match="jointly infeasible"):
+        resource._solve_min_rom("werner", 3.0, at_floor)
+    assert resource._solve_min_rom("werner", 3.0, above).quadratic_constraint > low
 
 
 def test_min_rom_rejects_a_colored_budget_at_g_one():

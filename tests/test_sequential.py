@@ -215,6 +215,18 @@ def test_epsilon_policy_validation():
         assert seq.EpsilonPolicy(paper_rounding=value).paper_rounding is stored
 
 
+def test_epsilon_policy_slack_bounds_at_their_end_points():
+    # each slack lies in [0, 0.1): 0 and the float below 0.1 are taken
+    below = math.nextafter(0.1, 0.0)
+    for first, later in ((0.0, 0.0), (below, below)):
+        policy = seq.EpsilonPolicy(first_stage_slack=first, later_stage_slack=later)
+        assert (policy.first_stage_slack, policy.later_stage_slack) == (first, later)
+    for bad in ({"first_stage_slack": 0.1}, {"later_stage_slack": 0.1},
+                {"first_stage_slack": -5e-324}, {"later_stage_slack": -5e-324}):
+        with pytest.raises(ValueError, match=r"stage slack must lie in \[0, 0.1\)"):
+            seq.EpsilonPolicy(**bad)
+
+
 def test_sharpness_for_shrink_inverts_average_shrink():
     # average_shrink turns one ulp of lam into |ds/dlam| ulp(1), which grows
     # without bound as s nears 1/3 (lam near 1); from s = 1/2 up the round
@@ -575,6 +587,28 @@ def test_fixed_schedule_of_greedy_lambdas_reproduces_the_chain(family, rounding)
 def test_run_symmetric_schedule_checks_entries_before_any_channel(lambdas):
     with pytest.raises(ValueError, match=r"schedule entries must lie in \(0, 1\]"):
         seq.run_symmetric_schedule(BELL, lambdas)
+
+
+def test_schedule_entry_bounds_at_their_end_points():
+    # each of xi and lam lies in (0, 1]: the least positive float and 1 are
+    # taken, 0 and the float above 1 refused
+    tiny = 5e-324
+    for xi, lam in ((tiny, 1.0), (1.0, tiny)):
+        assert seq.SharpnessSchedule(((xi, lam),)).stages == ((xi, lam),)
+    above = math.nextafter(1.0, 2.0)
+    for entry in ((0.0, 0.5), (0.5, 0.0), (above, 0.5), (0.5, above)):
+        with pytest.raises(ValueError, match=r"schedule entries must lie in \(0, 1\]"):
+            seq.SharpnessSchedule((entry,))
+
+
+def test_run_symmetric_schedule_stores_python_floats():
+    report = seq.run_symmetric_schedule(BELL, np.array([0.73, 0.8, 1.0]))
+    assert all(type(v) is float for entry in report.schedule.stages for v in entry)
+    assert repr(report.schedule) == ("SharpnessSchedule(stages="
+                                     "((0.73, 0.73), (0.8, 0.8), (1.0, 1.0)))")
+    # entries are checked before they become floats, so text is still refused
+    with pytest.raises(TypeError, match="not supported between"):
+        seq.run_symmetric_schedule(BELL, ["0.5"])
 
 
 def test_no_channel_runs_after_a_chain_s_last_stage(monkeypatch):
