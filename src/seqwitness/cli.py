@@ -35,7 +35,7 @@ EXIT_USAGE = 2
 _FORMATS = ("json", "csv", "text")
 # each --table choice and the numbers of the tables it prints
 _TABLES = {"1": (1,), "2": (2,), "both": (1, 2)}
-_TABLE1_HEADER = "family,detectability,total_rom,eta_ebits"
+_TABLE_HEADER = "family,detectability,total_rom,eta_ebits"
 # the flag carrying each family's parameter; bell takes none
 _PARAM_FLAG = {states.WERNER: "p", states.COLORED: "p", states.PURE: "theta"}
 
@@ -254,18 +254,19 @@ def _cmd_max_observers(parser, args) -> int:
     return EXIT_OK
 
 
-def _row_dict(row: resource.ComparisonRow) -> dict:
-    fields = ((k, getattr(row, k)) for k in row.__slots__)
+def _row_dict(row: resource.ComparisonRow, paper_rounding: bool) -> dict:
+    names = row.__slots__ + (("paper_rounded",) if paper_rounding else ())
+    fields = ((k, getattr(row, k)) for k in names)
     return {k: v for k, v in fields if v is not None or k == "family"}
 
 
-def _table_payload(rows: list[resource.ComparisonRow]) -> dict:
+def _table_payload(rows: list[resource.ComparisonRow], paper_rounding: bool) -> dict:
     seq_row = next(r for r in rows if r.family == "sequential")
     return {
         "sequential": {"detectability": seq_row.detectability,
                        "rom": seq_row.total_rom,
                        "eta_ebits": seq_row.eta_ebits},
-        "non_sequential": {r.family: _row_dict(r) for r in rows
+        "non_sequential": {r.family: _row_dict(r, paper_rounding) for r in rows
                            if r.family != "sequential"},
     }
 
@@ -273,23 +274,24 @@ def _table_payload(rows: list[resource.ComparisonRow]) -> dict:
 def _cmd_compare(parser, args) -> int:
     from . import resource
 
-    tab1, tab2 = resource.build_comparison_tables(paper_rounded=args.paper_rounding)
+    tab1, tab2 = resource.build_comparison_tables()
     tables = [(n, (tab1, tab2)[n - 1]) for n in _TABLES[args.table]]
-    d = args.digits
+    d, paper = args.digits, args.paper_rounding
     if args.format == "json":
         # one table prints flat under its number, both under table1 and table2
         (n, rows), *more = tables
-        _print_json({f"table{n}": _table_payload(rows) for n, rows in tables} if more
-                    else {"table": n, **_table_payload(rows)}, d)
+        _print_json({f"table{n}": _table_payload(rows, paper) for n, rows in tables} if more
+                    else {"table": n, **_table_payload(rows, paper)}, d)
         return EXIT_OK
 
     def csv_block(n, rows):
-        keys = next((list(r.paper_rounded) for r in rows if r.paper_rounded), [])
-        out = [",".join([_TABLE1_HEADER] + [f"paper_rounded_{k}" for k in keys])]
+        keys = list(rows[-1].paper_rounded) if paper else []  # a noisy row's keys
+        out = [",".join([_TABLE_HEADER] + [f"paper_rounded_{k}" for k in keys])]
         for r in rows:
             cells = [r.family, _fmt(r.detectability, d), _fmt(r.total_rom, d),
                      _fmt(r.eta_ebits, d)]
-            cells += [_fmt(r.paper_rounded[k], d) if r.paper_rounded else "" for k in keys]
+            cascade = paper and r.paper_rounded
+            cells += [_fmt(cascade[k], d) if cascade else "" for k in keys]
             out.append(",".join(cells))
         return "\n".join(out)
 
@@ -298,9 +300,9 @@ def _cmd_compare(parser, args) -> int:
         for r in rows:
             line = (f"  {r.family}: D {_fmt(r.detectability, d)}, "
                     f"RoM {_fmt(r.total_rom, d)}, eta {_fmt(r.eta_ebits, d)} ebits")
-            if r.paper_rounded:
+            if paper and (cascade := r.paper_rounded):
                 line += "; paper-rounded " + ", ".join(
-                    f"{k} {_fmt(v, d)}" for k, v in r.paper_rounded.items())
+                    f"{k} {_fmt(v, d)}" for k, v in cascade.items())
             out.append(line)
         return "\n".join(out)
 

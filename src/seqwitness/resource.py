@@ -4,7 +4,8 @@ Compares the sequential scheme (one entangled pair reused by three observer
 pairs) against non-sequential schemes where each pair consumes its own copy
 of a noisier state: first at equal measurement resources, solving for the
 entanglement budget, then at equal entanglement, minimizing the total
-measurement robustness.
+measurement robustness.  Records store only independent values; a value
+they fix, such as a row's two-decimal cascade, is a read-only property.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .states import _set
 
 # The colored-noise budget match is carried at two-decimal precision in the
 # state parameter, which puts the derived quadratic constant at 2.26 rather
-# than the exact-parameter 2.28; both routes are reported on the row.
+# than the exact-parameter 2.28; the row reports only the two-decimal route.
 _COLORED_PARAM_DECIMALS = 2
+
+_COPIES = 3  # copies the non-sequential scheme consumes, one per observer pair
 
 # The detectability optimum keeps every stage's witness value at or below
 # -_BOUNDARY_MARGIN, to within round-off.
@@ -43,17 +46,16 @@ class DetectabilityReport(states._Record):
         return float(sum(self.per_stage))
 
 
-class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
-    """One scenario row of the sequential vs non-sequential comparison;
-    ``paper_rounded`` is left out of the repr."""
+class ComparisonRow(states._Record):
+    """One scenario row of the sequential vs non-sequential comparison; its
+    two-decimal cascade ``paper_rounded`` is a read-only property."""
 
     __slots__ = ("family", "detectability", "total_rom", "eta_ebits", "mode",
-                 "matching_parameter", "quadratic_constraint", "per_pair_floor", "paper_rounded")
+                 "matching_parameter", "quadratic_constraint", "per_pair_floor")
 
     def __init__(self, family: str, detectability: float, total_rom: float, eta_ebits: float,
                  mode: str, matching_parameter: float | None = None,
-                 quadratic_constraint: float | None = None, per_pair_floor: float | None = None,
-                 paper_rounded: dict | None = None):
+                 quadratic_constraint: float | None = None, per_pair_floor: float | None = None):
         _set(self, "family", family)
         _set(self, "detectability", detectability)
         _set(self, "total_rom", total_rom)
@@ -62,7 +64,21 @@ class ComparisonRow(states._Record, repr_omit=("paper_rounded",)):
         _set(self, "matching_parameter", matching_parameter)
         _set(self, "quadratic_constraint", quadratic_constraint)
         _set(self, "per_pair_floor", per_pair_floor)
-        _set(self, "paper_rounded", paper_rounded)
+
+    @property
+    def paper_rounded(self) -> dict | None:
+        """Two-decimal cascade of printed comparisons: None on the sequential
+        row; on a table-1 row the parameter, the concurrence at it and the
+        budget of _COPIES copies; on a table-2 row the RoM, constraint, floor."""
+        if self.family == "sequential":
+            return None
+        if self.mode == "fixed-rom-solve-eta":
+            p2 = round(self.matching_parameter, 2)
+            c2 = round(states.concurrence_closed_form(states.StateFamily(self.family, p2)), 2)
+            return {"matching_parameter": p2, "concurrence": c2,
+                    "eta_ebits": round(_COPIES * c2, 2)}
+        return {k: round(getattr(self, k), 2)
+                for k in ("total_rom", "quadratic_constraint", "per_pair_floor")}
 
 
 def detectability(chain: ChainReport) -> DetectabilityReport:
@@ -249,7 +265,7 @@ def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, .
 
 
 def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
-                   copies: int = 3) -> NonSequentialSolution:
+                   copies: int = _COPIES) -> NonSequentialSolution:
     if operator.index(copies) < 1:
         raise ValueError("need at least one copy")
     if not (math.isfinite(ebit_budget) and math.isfinite(target_detectability)):
@@ -280,7 +296,7 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
 
 
 def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,
-                  copies: int = 3) -> float:
+                  copies: int = _COPIES) -> float:
     """Least total RoM of a non-sequential scheme at fixed entanglement.
 
     ``copies`` copies hold ``ebit_budget`` ebits, every pair must detect, and
@@ -290,22 +306,14 @@ def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,
     return _solve_min_rom(kind, ebit_budget, target_detectability, copies).rom
 
 
-def _paper_rounded_budget(kind: str, param: float, copies: int) -> dict:
-    """Two-decimal cascade of the budget row, as printed comparisons carry it."""
-    p2 = round(param, 2)
-    c2 = round(states.concurrence_closed_form(states.StateFamily(kind, p2)), 2)
-    return {"matching_parameter": p2, "concurrence": c2,
-            "eta_ebits": round(copies * c2, 2)}
-
-
-def build_comparison_tables(paper_rounded: bool = False
-                            ) -> tuple[list[ComparisonRow], list[ComparisonRow]]:
+def build_comparison_tables() -> tuple[list[ComparisonRow], list[ComparisonRow]]:
     """Assemble both comparison tables for the three noisy families.
 
     The sequential reference point is the maximal-detectability schedule
     quantized to two decimals, with its detectability rounded the same way,
     so the anchor row reads (-0.20, 5.06, 1 ebit) independently of the
-    optimizer's final refinement digits.
+    optimizer's final refinement digits.  Each table is the sequential row,
+    then the werner, colored and pure rows, with ``paper_rounded`` cascades.
     """
     bell = states.StateFamily.bell()
     opt = maximize_detectability(bell)
@@ -315,7 +323,6 @@ def build_comparison_tables(paper_rounded: bool = False
         raise RuntimeError("canonical schedule lost stage-wise feasibility")
     target = round(report.total, 2)
     rom_seq = total_rom(report.schedule)
-    copies = 3
 
     table1 = [ComparisonRow(family="sequential", detectability=target,
                             total_rom=rom_seq, eta_ebits=1.0,
@@ -327,23 +334,18 @@ def build_comparison_tables(paper_rounded: bool = False
     for kind in (states.WERNER, states.COLORED, states.PURE):
         param = solve_matching_parameter(kind, report.schedule, target)
         family = states.StateFamily(kind, param)
-        eta = entanglement_budget(family, copies)
+        eta = entanglement_budget(family, _COPIES)
         table1.append(ComparisonRow(
             family=kind, detectability=target, total_rom=rom_seq, eta_ebits=eta,
             mode="fixed-rom-solve-eta", matching_parameter=param,
-            paper_rounded=_paper_rounded_budget(kind, param, copies) if paper_rounded else None,
         ))
 
-        sol = _solve_min_rom(kind, 1.0, target, copies)
+        sol = _solve_min_rom(kind, 1.0, target, _COPIES)
         table2.append(ComparisonRow(
             family=kind, detectability=target, total_rom=sol.rom, eta_ebits=1.0,
             mode="fixed-eta-minimize-rom", matching_parameter=sol.param,
             quadratic_constraint=sol.quadratic_constraint,
             per_pair_floor=sol.per_pair_floor,
-            paper_rounded={"total_rom": round(sol.rom, 2),
-                           "quadratic_constraint": round(sol.quadratic_constraint, 2),
-                           "per_pair_floor": round(sol.per_pair_floor, 2)}
-            if paper_rounded else None,
         ))
 
     return table1, table2

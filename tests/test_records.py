@@ -7,9 +7,9 @@ positional pattern matching, and their construction-time checks.  Matrix
 values, and a chain report that carries states, compare and hash by array
 entries; their pickles and copies run the constructor's checks again and
 hold read-only arrays.  A value that a record's stored fields fix (a
-chain's stage count and thresholds, a detectability total, a total RoM) is
-a read-only property outside them, equal bit for bit to what the record
-stored before it became one.  None of this loads ``dataclasses``."""
+chain's stage count and thresholds, a detectability total, a total RoM, a
+comparison row's two-decimal cascade) is a read-only property outside
+them, equal bit for bit to what the record stored before it became one.  None of this loads ``dataclasses``."""
 
 import copy
 import math
@@ -97,13 +97,12 @@ _CASES = {
         resource.ComparisonRow,
         {"family": "werner", "detectability": -0.25, "total_rom": 3.5, "eta_ebits": 1.5,
          "mode": "rom", "matching_parameter": 0.75, "quadratic_constraint": 2.25,
-         "per_pair_floor": 0.5, "paper_rounded": {"quadratic_constraint": 2.26}},
+         "per_pair_floor": 0.5},
         {"family": "werner", "detectability": -0.25, "total_rom": 3.5, "eta_ebits": 1.5,
-         "mode": "rom", "matching_parameter": 0.75, "quadratic_constraint": 2.25,
-         "per_pair_floor": 0.5, "paper_rounded": {"quadratic_constraint": 2.28}},
+         "mode": "rom", "matching_parameter": 0.75, "quadratic_constraint": 2.28,
+         "per_pair_floor": 0.5},
         ({"family": "a", "detectability": 1.0, "total_rom": 2.0, "eta_ebits": 3.0, "mode": "m"},
-         {"matching_parameter": None, "quadratic_constraint": None, "per_pair_floor": None,
-          "paper_rounded": None}),
+         {"matching_parameter": None, "quadratic_constraint": None, "per_pair_floor": None}),
         "ComparisonRow(family='werner', detectability=-0.25, total_rom=3.5, eta_ebits=1.5, "
         "mode='rom', matching_parameter=0.75, quadratic_constraint=2.25, per_pair_floor=0.5)",
         (),
@@ -246,6 +245,8 @@ _DERIVED = (
      {"detected_stages": 2, "thresholds": (1 / 3, 0.5, 1.25, math.inf)}),
     (resource.DetectabilityReport((-0.125, -0.0625), _SCHEDULE), {"total": -0.1875}),
     (resource.NonSequentialSolution(0.8, 0.625, 1.25, (1.0, 0.625, 0.625)), {"rom": 4.5}),
+    (resource.ComparisonRow("werner", -0.2, 5.06, 1.12, "fixed-rom-solve-eta", 0.5849),
+     {"paper_rounded": {"matching_parameter": 0.58, "concurrence": 0.37, "eta_ebits": 1.11}}),
 )
 
 

@@ -244,6 +244,29 @@ def test_maximize_detectability_switches_on_at_the_three_stage_edge(caps):
     assert all(lam <= cap for (_, lam), cap in zip(report.schedule.stages, caps))
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("family", [BELL, states.StateFamily.werner(0.95),
+                                    states.StateFamily.pure(0.7)])
+def test_maximize_detectability_at_a_stage_cap_equal_to_its_least_sharpness(family, stage):
+    # cap1 = sqrt(need / g), computed as the optimizer computes stage 1's
+    # least detecting sharpness lo; for stage 2, cap2 is stage 2's least
+    # sharpness after stage 1 at cap1, computed as stage_two computes it.
+    # The capped stage's window is then the single point lam = cap, and one
+    # ulp below it no schedule has every stage detecting.
+    need = 1.0 + 4.0 * resource._BOUNDARY_MARGIN
+    g = states.correlation_strength(family)
+    caps = [math.sqrt(need / g), 1.0, 1.0]
+    if stage == 2:
+        s1 = sequential.average_shrink(caps[0])
+        caps[1] = math.sqrt(need / (g * s1 * s1))
+    report = resource.maximize_detectability(family, tuple(caps))
+    assert report.schedule.stages[:stage] == tuple((cap, cap) for cap in caps[:stage])
+    assert all(d < 0.0 for d in report.per_stage)
+    caps[stage - 1] = math.nextafter(caps[stage - 1], 0.0)
+    with pytest.raises(ValueError, match="admits no 3-stage schedule"):
+        resource.maximize_detectability(family, tuple(caps))
+
+
 def test_maximize_detectability_rejects_weak_family():
     with pytest.raises(ValueError):
         resource.maximize_detectability(states.StateFamily.werner(0.5))
@@ -611,6 +634,25 @@ def edge_cases(floors):
                             yield c, floor, copies
 
 
+_TINY_FLOOR = 2.0**-30
+_NEAR_ONE_FLOOR = math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("constraint,floor,copies,expected", [
+    # A difference of exactly 1e-12 from the pinned pattern's sum of squares
+    # is representable only below ~2e-12, so one copy at a floor of 2^-30:
+    # the pinned floor counts strictly within 1e-12, else the free lambda wins.
+    (_TINY_FLOOR**2 + 1e-12, _TINY_FLOOR, 1, (math.sqrt(_TINY_FLOOR**2 + 1e-12),)),
+    (math.nextafter(_TINY_FLOOR**2 + 1e-12, 0.0), _TINY_FLOOR, 1, (_TINY_FLOOR,)),
+    # A free lambda exactly at the floor counts: at the floor an ulp below 1
+    # and a constraint 4 ulps below 3, the one-cap pattern's free lambda is
+    # the floor, and it is the first least sum.
+    (2.9999999999999996, _NEAR_ONE_FLOOR, 3, (1.0, _NEAR_ONE_FLOOR, _NEAR_ONE_FLOOR)),
+], ids=["1e-12 from pinned", "under 1e-12 from pinned", "free lambda at the floor"])
+def test_greedy_fill_at_its_candidate_guards_end_points(constraint, floor, copies, expected):
+    assert resource._greedy_fill(constraint, floor, copies) == expected
+
+
 def test_greedy_fill_matches_boundary_enumeration_at_pattern_edges():
     # At an edge the enumeration's patterns with two or more free lambdas
     # tie the fill in exact arithmetic and can undercut it by rounding, so
@@ -695,14 +737,17 @@ def test_comparison_tables_sequential_advantage():
 
 
 def test_comparison_tables_paper_rounded_columns():
-    tab1, tab2 = resource.build_comparison_tables(paper_rounded=True)
+    # every noisy row derives its cascade, and every row of both tables hashes
+    tab1, tab2 = resource.build_comparison_tables()
     by_family = {r.family: r for r in tab1}
     assert by_family["colored"].paper_rounded["eta_ebits"] == pytest.approx(1.14)
     by_family = {r.family: r for r in tab2}
     assert by_family["werner"].paper_rounded["total_rom"] == pytest.approx(5.20)
     assert by_family["colored"].paper_rounded["quadratic_constraint"] == pytest.approx(2.26)
-    plain1, plain2 = resource.build_comparison_tables()
-    assert all(r.paper_rounded is None for r in plain1 + plain2)
+    assert [r.paper_rounded is None for r in tab1 + tab2] == [True, False, False, False] * 2
+    assert len(set(tab1 + tab2)) == 8
+    with pytest.raises(TypeError, match="unexpected keyword argument 'paper_rounded'"):
+        resource.build_comparison_tables(paper_rounded=True)
 
 
 def test_closed_form_report_matches_matrix_chain():

@@ -11,7 +11,10 @@ must pass the suite.
 A survivor listed in ``tools/equivalent_mutants.txt`` is reported as
 equivalent, with its reason: both sides of its boundary give the same
 answer.  Any other survivor is reported as unexplained, and the exit code
-is 1 when there is one.
+is 1 when there is one.  An id embeds the comparison's text and its owning
+def, so an edit to either leaves the listed reason behind: a listed entry
+of a named module that names no current mutant is reported as stale, and
+also makes the exit code 1, with ``--list`` too.
 
     python tools/boundary_mutants.py sequential resource
     python tools/boundary_mutants.py --list cli        # mutant ids, no runs
@@ -110,14 +113,17 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="print mutant ids and exit")
     args = parser.parse_args(argv)
     sources = {m: (ROOT / PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in args.modules}
-    if args.list:
-        for module, source in sources.items():
-            for ident, _ in mutants(module, source):
-                print(ident)
-        return 0
-
+    current = [ident for module, source in sources.items() for ident, _ in mutants(module, source)]
     equivalents = read_equivalents()
-    unexplained = 0
+    stale = [ident for ident in equivalents
+             if ident.partition(".")[0] in sources and ident not in current]
+    for ident in stale:
+        print(f"stale entry in {EQUIVALENTS.name}, no such mutant: {ident}", file=sys.stderr)
+    if args.list:
+        print("\n".join(current))
+        return 1 if stale else 0
+
+    unexplained = len(stale)
     with tempfile.TemporaryDirectory(prefix="boundary-mutants-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
