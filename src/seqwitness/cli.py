@@ -10,23 +10,19 @@ Each subcommand imports only what it runs, and ``json`` only under
 ``--format json``: ``witness-eval`` needs just ``states``; ``compare`` adds
 ``resource`` (which loads ``sequential``); and ``max-observers`` adds
 ``sequential``, whose chains run on the correlation strength g.  No
-subcommand loads numpy, the matrix layers, ``dataclasses`` or ``inspect``;
-every value class of the package, the matrix values too, derives from the
-frozen ``__slots__`` base ``states._Record``, and none is a dataclass.
+subcommand loads numpy, the matrix layers, ``dataclasses``, ``inspect``,
+``typing`` or ``__future__``: every value class of the package, the matrix
+values too, derives from the frozen ``__slots__`` base ``states._Record``,
+and none is a dataclass; an annotation naming a lazily loaded class is a
+string, so no module imports anything for its annotations.
 """
-
-from __future__ import annotations
 
 import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import states
-
-if TYPE_CHECKING:
-    from . import resource
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -254,13 +250,13 @@ def _cmd_max_observers(parser, args) -> int:
     return EXIT_OK
 
 
-def _row_dict(row: resource.ComparisonRow, paper_rounding: bool) -> dict:
+def _row_dict(row: "resource.ComparisonRow", paper_rounding: bool) -> dict:
     names = row.__slots__ + (("paper_rounded",) if paper_rounding else ())
     fields = ((k, getattr(row, k)) for k in names)
     return {k: v for k, v in fields if v is not None or k == "family"}
 
 
-def _table_payload(rows: list[resource.ComparisonRow], paper_rounding: bool) -> dict:
+def _table_payload(rows: "list[resource.ComparisonRow]", paper_rounding: bool) -> dict:
     seq_row = next(r for r in rows if r.family == "sequential")
     return {
         "sequential": {"detectability": seq_row.detectability,

@@ -10,8 +10,6 @@ and the RoM by operator norms are the tests' oracles.  Both value classes
 are ``states._Record`` values, and a copy runs their checks again.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .qcore import VALIDATE_TOL, _ArrayValue, pauli

@@ -17,8 +17,6 @@ matrix expectation serve the tests and the bench tracer, and the Wootters
 concurrence the acceptance gate.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -151,7 +149,7 @@ def _matrix_entries(c) -> tuple:
             m30, m31, m32, d3)
 
 
-def state_from_pauli_coefficients(c: np.ndarray) -> DensityMatrix:
+def state_from_pauli_coefficients(c: np.ndarray) -> "DensityMatrix":
     """The validated two-qubit state with Pauli coefficients ``c``, carrying a
     copy of ``c`` for ``pauli_coefficients``."""
     return _coefficient_state(_real_4x4(c))
@@ -162,12 +160,12 @@ class _Coefficients(tuple):
     __slots__ = ()
 
 
-def _coefficient_state(c) -> DensityMatrix:
+def _coefficient_state(c) -> "DensityMatrix":
     """The validated state with 16 real coefficients ``c``, which it carries."""
     return DensityMatrix(_Coefficients(c))
 
 
-def _scaled_state(rho, first: float, second: float) -> DensityMatrix:
+def _scaled_state(rho, first: float, second: float) -> "DensityMatrix":
     """The state whose coefficients are those of ``rho`` scaled as by
     ``scale_wings``, worked on Python floats: the averaged channels' route,
     which hands the ``_Coefficients`` of ``_scale`` straight to ``DensityMatrix``."""

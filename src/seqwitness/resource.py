@@ -8,8 +8,6 @@ measurement robustness.  Records store only independent values; a value
 they fix, such as a row's two-decimal cascade, is a read-only property.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 
@@ -246,21 +244,27 @@ def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, .
     point of the slice sum(x) = constraint of [floor^2, 1]^copies is its
     majorization-maximal point, the greedy fill: floor(q) lambdas at 1,
     q = (constraint - copies floor^2) / (1 - floor^2), one free, the rest at
-    the floor.  Its pattern changes at q = e; the three patterns next to
-    e = round(q) (e - 1 or e at 1 and one free; e at 1 and none free, within
-    1e-12) are scored as ``tests/oracles.py::boundary_pattern_lambdas`` does,
-    and the first least sum wins."""
+    the floor.  A pattern with no free lambda counts within 1e-12 of the
+    constraint, so the least such cap count lies just above q - w, with
+    w = 1e-12 / (1 - floor^2), and fewer caps give a smaller sum.
+    low = floor(q - w), clamped to [0, copies], is off by at most one count
+    in every case the tests scan (1 to 6 copies): near a floor of 1, where q
+    has no correct digits, w exceeds copies and low is 0.  The patterns with
+    low, low + 1 or low + 2 lambdas at 1 and one free lambda or none are
+    scored as ``tests/oracles.py::boundary_pattern_lambdas`` scores them, and
+    the first least sum wins."""
     f2 = floor * floor
-    edge = min(copies, max(0, round((constraint - copies * f2) / (1.0 - f2))))
+    low = min(copies, max(0, math.floor((constraint - 1e-12 - copies * f2) / (1.0 - f2))))
     candidates = []
-    for n_cap in (edge - 1, edge):
-        fixed = (1.0,) * n_cap + (floor,) * (copies - n_cap - 1)
-        remaining = constraint - sum(v * v for v in fixed)
-        if 0 <= n_cap < copies and remaining > 0.0 and floor <= math.sqrt(remaining) <= 1.0:
-            candidates.append(fixed[:n_cap] + (math.sqrt(remaining),) + fixed[n_cap:])
-    pinned = (1.0,) * edge + (floor,) * (copies - edge)
-    if abs(constraint - sum(v * v for v in pinned)) < 1e-12:
-        candidates.append(pinned)
+    for n_cap in range(low, min(copies, low + 2) + 1):
+        n_floor = copies - n_cap
+        if n_floor:  # one free lambda; floor * floor is f2 bit for bit
+            remaining = constraint - sum((1.0,) * n_cap + (f2,) * (n_floor - 1))
+            if remaining > 0.0 and floor <= math.sqrt(remaining) <= 1.0:
+                candidates.append((1.0,) * n_cap + (math.sqrt(remaining),)
+                                  + (floor,) * (n_floor - 1))
+        if abs(constraint - sum((1.0,) * n_cap + (f2,) * n_floor)) < 1e-12:
+            candidates.append((1.0,) * n_cap + (floor,) * n_floor)
     return min(candidates, key=sum)
 
 

@@ -6,8 +6,10 @@ outcome-averaged Lueders map.  It scales every Pauli coefficient on each
 measured wing by s(lam) = (1 + 2 sqrt(1 - lam^2)) / 3, the scaling of
 witness modulation (``qcore.scale_wings``) done on the 16 Python floats a
 state carries (``qcore._scaled_state``); the Kraus sum is the tests' oracle.
-The channels and ``states.build`` reach ``qcore`` through ``states._qcore``,
-which imports it, and numpy, on the first state a chain builds and keeps it.
+The channels, ``violation_threshold`` and ``states.build`` reach ``qcore``
+through ``states._qcore``, which imports it, and numpy, on first use and keeps
+it; annotations name the matrix classes as strings, so loading this module
+imports only ``math``, ``operator`` and ``states``.
 
 The family witnesses see a state only through its correlation strength g
 (``states.witness_value``), so a stage "detects" exactly when its sharpness
@@ -21,19 +23,11 @@ The greedy procedures saturate each stage just above its threshold to
 disturb the state as little as possible and count the stages below product 1.
 """
 
-from __future__ import annotations
-
 import math
 import operator
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from . import states
 from .states import _qcore
-
-if TYPE_CHECKING:  # the matrix layers load on the first channel or threshold
-    from .qcore import DensityMatrix
-    from .witness import WitnessOperator
 
 # Float guard when snapping a threshold onto the 0.01 grid.
 _GRID_EPS = 1e-9
@@ -53,7 +47,7 @@ def _sharpness_for_shrink(s: float) -> float:
     return math.sqrt((1.0 - u) * (1.0 + u))
 
 
-def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
+def average_two_sided(rho, xi: float, lam: float) -> "DensityMatrix":
     """Average post-measurement state after both wings measure.
 
     Pauli components shrink by average_shrink(xi) on the first wing and by
@@ -68,7 +62,7 @@ def average_two_sided(rho, xi: float, lam: float) -> DensityMatrix:
     return _qcore()._scaled_state(rho, average_shrink(xi), average_shrink(lam))
 
 
-def average_one_sided(rho, lam: float) -> DensityMatrix:
+def average_one_sided(rho, lam: float) -> "DensityMatrix":
     """Average post-measurement state when only the second wing measures.
 
     Pauli components on the second wing shrink by average_shrink(lam), and a
@@ -80,7 +74,7 @@ def average_one_sided(rho, lam: float) -> DensityMatrix:
     return _qcore()._scaled_state(rho, 1.0, average_shrink(lam))
 
 
-def violation_threshold(w: WitnessOperator, rho) -> float:
+def violation_threshold(w: "WitnessOperator", rho) -> float:
     """Minimal sharpness product at which the witness expectation hits zero.
 
     The matrix route to a stage threshold, for any witness and state; the
@@ -92,11 +86,9 @@ def violation_threshold(w: WitnessOperator, rho) -> float:
     is impossible.  The expectation Tr(W rho) = 4 sum_ij w[i, j] c[i, j]
     reads the Pauli coefficients c that a state carries.
     """
-    from . import qcore
-
     if w.modulation is not None:
         raise ValueError("threshold is defined for the unmodulated witness")
-    full = qcore.coefficient_expectation(w.coefficients, rho)
+    full = _qcore().coefficient_expectation(w.coefficients, rho)
     ident = w.identity_weight()
     slope = full - ident  # coefficient of the sharpness product
     if slope >= -1e-15:
@@ -181,7 +173,7 @@ class ChainReport(states._Record, repr_omit=("states",)):
     __slots__ = ("family", "schedule", "strengths", "states")
 
     def __init__(self, family: states.StateFamily, schedule: SharpnessSchedule,
-                 strengths: tuple[float, ...], states: tuple[DensityMatrix, ...]):
+                 strengths: tuple[float, ...], states: "tuple[DensityMatrix, ...]"):
         _set_family(self, family)
         _set_schedule(self, schedule)
         _set_strengths(self, strengths)
@@ -245,7 +237,7 @@ def _run_chain(family: states.StateFamily, two_sided_stages: int | None,
     return ChainReport(family, SharpnessSchedule(tuple(stages)), tuple(strengths), ())
 
 
-def _chain_states(report: ChainReport, two_sided_stages: int | None) -> tuple[DensityMatrix, ...]:
+def _chain_states(report: ChainReport, two_sided_stages: int | None) -> "tuple[DensityMatrix, ...]":
     """A chain's replay: the matrix state entering each recorded stage, built
     from the family only once a stage was recorded, with a channel only into
     a stage the chain examined (so into an infeasible stop too, then dropped)."""
@@ -295,7 +287,7 @@ def greedy_asymmetric(alices: int, family: states.StateFamily,
 
 
 def run_symmetric_schedule(family: states.StateFamily,
-                           lambdas: Iterable[float]) -> ChainReport:
+                           lambdas: "Iterable[float]") -> ChainReport:
     """Evolve the symmetric chain at a fixed per-stage sharpness schedule.
 
     No feasibility decision is taken; thresholds, strengths and incoming

@@ -11,16 +11,13 @@ Loading this module imports only ``math``.  ``_Record`` is the frozen
 ``__slots__`` base of every value class in the package, in place of
 dataclasses, so nothing in the package loads ``dataclasses``.  numpy and
 ``qcore`` load on the first ``build``, through ``_qcore``, which keeps the
-module for every later state build and averaged channel.
+module for every later state build, averaged channel and matrix threshold:
+the one seam at which ``states`` and ``sequential`` meet the matrix layers
+(``resource`` and ``cli`` import none).  An annotation naming a matrix
+class is a string, so none imports anything.
 """
 
-from __future__ import annotations
-
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # qcore, and with it numpy, loads on the first state build
-    from .qcore import DensityMatrix
 
 BELL = "bell"
 WERNER = "werner"
@@ -140,14 +137,15 @@ _qcore_module = None
 def _qcore():
     """The ``qcore`` module, imported on the first call, which loads numpy, and
     kept: state builds and the averaged channels run once per chain stage, and
-    a global read costs less than an import statement on every call."""
+    a global read costs less than an import statement on every call.
+    ``states`` and ``sequential`` reach the matrix layers only through it."""
     global _qcore_module
     if _qcore_module is None:
         from . import qcore as _qcore_module
     return _qcore_module
 
 
-def build(family: StateFamily) -> DensityMatrix:
+def build(family: StateFamily) -> "DensityMatrix":
     """The family's validated 4x4 state, written from its closed-form Pauli
     coefficients, which the state carries (times 4, order I, x, y, z):
     diag(1, p, p, -p) for werner (p = 1 for bell), diag(1, p, -p, 2p - 1)

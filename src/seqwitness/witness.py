@@ -9,8 +9,6 @@ The tests derive the family witnesses again by partial transposition.
 ``WitnessOperator`` is a ``states._Record`` value, equal by its entries.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from . import states

@@ -458,6 +458,25 @@ assert all(name in namespace for name in seqwitness.__all__)
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+@pytest.mark.parametrize("argv", (["witness-eval", "--state", "werner", "--p", "0.9"],
+                                  ["max-observers", "--alices", "2", "--state", "werner",
+                                   "--p", "0.9"],
+                                  ["compare"]),
+                         ids=("witness-eval", "max-observers", "compare"))
+def test_subcommands_import_nothing_for_annotations(argv, fmt):
+    # -S keeps site, whose .pth files may load typing, out of the child, so
+    # an import made only for an annotation shows as an -X importtime line
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "seqwitness.cli",
+                           *argv, "--format", fmt],
+                          env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "argparse" in loaded, proc.stderr[-500:]  # the log was read
+    assert not {"typing", "__future__", "collections.abc"} & set(loaded), loaded
+
+
 def test_max_observers_payload_is_the_library_chain(capsys):
     # the CLI runs greedy_asymmetric's stage loop without carrying states;
     # over random flags its payload is the library report, quantized alike

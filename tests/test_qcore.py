@@ -442,6 +442,55 @@ def test_density_matrix_diagonal_hermiticity_tolerance():
                 qcore.DensityMatrix(m)
 
 
+def test_is_hermitian_at_a_defect_of_exactly_its_tolerance():
+    # |m_01 - conj(m_10)| equal to the tolerance passes; one float more fails
+    for tol in (qcore.VALIDATE_TOL, 0.5):
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 1] = tol
+        assert qcore.is_hermitian(m, tol)
+        m[0, 1] = np.nextafter(tol, 1.0)
+        assert not qcore.is_hermitian(m, tol)
+
+
+def test_density_matrix_trace_check_at_exactly_its_tolerance():
+    # An imaginary part of exactly VALIDATE_TOL on the diagonal puts the trace
+    # exactly VALIDATE_TOL from 1, which the trace check lets through, so the
+    # Hermiticity check names the defect; one float more fails on the trace.
+    # (A coefficient-built trace is real, and near 1 its distance from 1 is a
+    # multiple of 2^-53, never the double 1e-12.)
+    m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    m[0, 0] += 1j * qcore.VALIDATE_TOL
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        qcore.DensityMatrix(m)
+    m[0, 0] = 1.0 + 1j * np.nextafter(qcore.VALIDATE_TOL, 1.0)
+    with pytest.raises(ValueError, match="differs from 1"):
+        qcore.DensityMatrix(m)
+
+
+def test_expectation_keeps_an_imaginary_part_of_exactly_1e_9():
+    rho = np.zeros((2, 2), dtype=complex)
+    rho[0, 0] = 1e-9j
+    assert qcore.expectation(np.eye(2), rho) == 0.0
+    rho[0, 0] = 1j * np.nextafter(1e-9, 1.0)
+    with pytest.raises(ValueError, match="imaginary part"):
+        qcore.expectation(np.eye(2), rho)
+
+
+def test_eigen_hermitian_at_a_reconstruction_error_of_exactly_its_tolerance():
+    # LAPACK reads the lower triangle, so a diagonal matrix with ORACLE_TOL
+    # above the diagonal reconstructs to its diagonal exactly: an error of
+    # exactly ORACLE_TOL, which passes, as the Hermiticity check at the same
+    # tolerance does; one float more fails that check first.
+    m = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    m[0, 3] = qcore.ORACLE_TOL
+    evals, vecs = qcore.eigen_hermitian(m)
+    assert evals.tolist() == [0.1, 0.2, 0.3, 0.4]
+    assert np.array_equal(np.abs(vecs), np.eye(4))
+    m[0, 3] = np.nextafter(qcore.ORACLE_TOL, 1.0)
+    with pytest.raises(ValueError, match="expects a Hermitian matrix"):
+        qcore.eigen_hermitian(m)
+
+
 def test_density_matrix_names_hermiticity_before_positivity():
     # the first pivot fails (m00 < 0) before the pass reaches the one
     # non-Hermitian pair, in the last row; Hermiticity is still the verdict

@@ -617,15 +617,15 @@ def test_greedy_fill_matches_boundary_enumeration_on_random_cases():
     assert checked >= 19_990
 
 
-def edge_cases(floors):
-    """(constraint, floor, copies) within 0, 1, 2 and 4 ulps either side of
-    every pattern edge k + (copies - k) floor^2, inside (copies floor^2,
-    copies]."""
+def edge_cases(floors, offsets=(0, 1, 2, 4)):
+    """(constraint, floor, copies) within each of ``offsets`` ulps either
+    side of every pattern edge k + (copies - k) floor^2, inside
+    (copies floor^2, copies]."""
     for floor in floors:
         for copies in range(1, 7):
             for k in range(copies + 1):
                 edge = k + (copies - k) * floor * floor
-                for ulps in (0, 1, 2, 4):
+                for ulps in offsets:
                     for direction in (math.inf, -math.inf):
                         c = edge
                         for _ in range(ulps):
@@ -644,32 +644,58 @@ _NEAR_ONE_FLOOR = math.nextafter(1.0, 0.0)
     # the pinned floor counts strictly within 1e-12, else the free lambda wins.
     (_TINY_FLOOR**2 + 1e-12, _TINY_FLOOR, 1, (math.sqrt(_TINY_FLOOR**2 + 1e-12),)),
     (math.nextafter(_TINY_FLOOR**2 + 1e-12, 0.0), _TINY_FLOOR, 1, (_TINY_FLOOR,)),
-    # A free lambda exactly at the floor counts: at the floor an ulp below 1
-    # and a constraint 4 ulps below 3, the one-cap pattern's free lambda is
-    # the floor, and it is the first least sum.
-    (2.9999999999999996, _NEAR_ONE_FLOOR, 3, (1.0, _NEAR_ONE_FLOOR, _NEAR_ONE_FLOOR)),
-], ids=["1e-12 from pinned", "under 1e-12 from pinned", "free lambda at the floor"])
+], ids=["1e-12 from pinned", "under 1e-12 from pinned"])
 def test_greedy_fill_at_its_candidate_guards_end_points(constraint, floor, copies, expected):
     assert resource._greedy_fill(constraint, floor, copies) == expected
 
 
-def test_greedy_fill_matches_boundary_enumeration_at_pattern_edges():
-    # At an edge the enumeration's patterns with two or more free lambdas
-    # tie the fill in exact arithmetic and can undercut it by rounding, so
-    # the fill matches the enumeration of patterns with at most one free
-    # lambda exactly, and the full enumeration's sum within the rounding of
-    # the free lambda, sqrt of a difference of sums of up to six squares.
-    rng = np.random.default_rng(43)
-    floors = [1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0), 0.5, 0.1]
-    floors += [float(f) for f in rng.uniform(0.01, 0.99, 60)]
+def check_fill_against_boundary_enumeration(cases):
+    """The number of cases checked.  At an edge the enumeration's patterns
+    with two or more free lambdas tie the fill in exact arithmetic and can
+    undercut it by rounding, so the fill matches the enumeration of patterns
+    with at most one free lambda exactly, and the full enumeration's sum
+    within the rounding of the free lambda, sqrt of a difference of sums of
+    up to six squares."""
     checked = 0
-    for c, floor, copies in edge_cases(floors):
+    for c, floor, copies in cases:
         fill = resource._greedy_fill(c, floor, copies)
         assert fill == oracles.boundary_pattern_lambdas(c, floor, copies, max_free=1)
         full = oracles.boundary_pattern_lambdas(c, floor, copies)
         assert 0.0 <= sum(fill) - sum(full) <= 8 * copies * math.ulp(copies) / floor
         checked += 1
-    assert checked > 10_000
+    return checked
+
+
+def test_greedy_fill_scores_the_all_floor_pattern_at_a_floor_an_ulp_below_1():
+    # 1 - floor^2 is one ulp, so q has no correct digits: rounding it once put
+    # the edge at one cap and never scored the all-floor pattern, which lies
+    # within 1e-12 of the constraint and has the least sum.
+    f = _NEAR_ONE_FLOOR
+    expected = oracles.boundary_pattern_lambdas(2.9999999999999996, f, 3)
+    assert expected == (f, f, f) and sum(expected) < 3.0
+    assert resource._greedy_fill(2.9999999999999996, f, 3) == expected
+
+
+def test_greedy_fill_matches_boundary_enumeration_near_a_floor_of_1():
+    # Near a floor of 1 every pattern edge lies within a few ulps of the
+    # others and a 1e-12 window holds many pinned patterns: up to 200 ulps
+    # from each edge, the fill still matches the enumeration.
+    rng = np.random.default_rng(53)
+    floors, f = [], 1.0
+    for _ in range(8):
+        f = math.nextafter(f, 0.0)
+        floors.append(f)
+    floors += [1.0 - 10.0**-e for e in (8, 10, 12, 13, 14, 15)]
+    floors += [1.0 - float(d) for d in 10.0 ** rng.uniform(-16.0, -7.0, 10)]
+    offsets = [0, 1, 200] + [int(u) for u in rng.integers(2, 200, 4)]
+    assert check_fill_against_boundary_enumeration(edge_cases(floors, offsets)) > 3_000
+
+
+def test_greedy_fill_matches_boundary_enumeration_at_pattern_edges():
+    rng = np.random.default_rng(43)
+    floors = [1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0), 0.5, 0.1]
+    floors += [float(f) for f in rng.uniform(0.01, 0.99, 60)]
+    assert check_fill_against_boundary_enumeration(edge_cases(floors)) > 10_000
 
 
 @pytest.mark.parametrize("floor", [
