@@ -14,10 +14,9 @@ cli          batch command-line interface
 
 The names below and the submodules load on first access, so importing the
 package loads no numpy; only the matrix layers (qcore, measurement,
-witness) import it.
+witness) import it.  Each loads through the import statement, whichever
+way it is reached, so ``python -X importtime`` logs every submodule.
 """
-
-import importlib
 
 _EXPORTS = {
     "ChainReport": "sequential",
@@ -37,11 +36,11 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _EXPORTS:
+    home = name if name in _SUBMODULES else _EXPORTS.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    __import__(f"{__name__}.{home}")  # which binds the submodule here
+    value = globals()[home] if name == home else getattr(globals()[home], name)
     globals()[name] = value
     return value
 

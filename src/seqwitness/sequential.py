@@ -251,17 +251,15 @@ def _chain_states(report: ChainReport, two_sided_stages: int | None) -> "tuple[D
     return tuple(incoming)
 
 
-def greedy_symmetric(family: states.StateFamily, policy: EpsilonPolicy | None = None,
-                     max_stages: int | None = None) -> ChainReport:
+def greedy_symmetric(family: states.StateFamily,
+                     policy: EpsilonPolicy | None = None) -> ChainReport:
     """Greedy chain with equally many observers on both wings.
 
     Each stage takes the symmetric sharpness just above its threshold,
     disturbing the state as little as the detection constraint allows, and
-    the chain stops at the first stage whose threshold reaches 1.
+    the chain stops at the first stage whose threshold reaches 1, stage 4 at most.
     """
-    if max_stages is not None and operator.index(max_stages) < 1:
-        raise ValueError("max_stages must be at least 1")
-    report = _run_chain(family, None, max_stages, (policy or EpsilonPolicy()).sharpness)
+    report = _run_chain(family, None, None, (policy or EpsilonPolicy()).sharpness)
     _set_states(report, _chain_states(report, None))
     return report
 
@@ -321,7 +319,9 @@ def _symmetric_edge_before(h: float, cap: float = 1.0, need: float = 1.0) -> flo
     -2 (1 - u^2) / (u (1 + 2u)), u = sqrt(1 - lam^2), falls as lam rises.
     (2) Detection needs P >= need/g, and g s(xi) s(lam) falls as P rises.
     (3) The zero-slack map rises with g; by induction no schedule's k-th g
-    exceeds the zero-slack chain's.
+    exceeds the zero-slack chain's.  So xi = lam loses nothing: at fixed P it
+    hands on the most g (1) at the least RoM, xi + lam >= 2 sqrt(P) (AM-GM), so no
+    unequal split raises the count, improves detectability or lowers a RoM.
     """
     x = max(h / need, 1.0 / 9.0)
     root = -math.sqrt(x) + 2.0 * math.sqrt(x + 1.0 / 3.0)

@@ -423,10 +423,10 @@ _NOT_LOADED = {
                          ids=("max-observers", "compare", "witness-eval"))
 def test_subcommands_load_no_numpy(argv, fmt):
     # a fresh interpreter per subcommand and format, read through sys.modules
-    # (-X importtime logs no line for a submodule that `from . import x` loads):
-    # each subcommand loads only what it runs, and json only for json output;
-    # the pair count and a max-observers run after it stay numpy-free, and
-    # the star import still works
+    # so that the same process goes on to the library calls: each subcommand
+    # loads only what it runs, and json only for json output; the pair count
+    # and a max-observers run after it stay numpy-free, and the star import
+    # still works
     script = """
 import contextlib, io, sys
 absent, argv = sys.argv[1].split(","), sys.argv[2:]
@@ -458,15 +458,25 @@ assert all(name in namespace for name in seqwitness.__all__)
     assert proc.returncode == 0, proc.stderr
 
 
+# the submodules each subcommand loads; none loads qcore, witness or measurement
+_LOGGED_LAYERS = {
+    "witness-eval": ("seqwitness.states",),
+    "max-observers": ("seqwitness.states", "seqwitness.sequential"),
+    "compare": ("seqwitness.states", "seqwitness.sequential", "seqwitness.resource"),
+}
+
+
 @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
 @pytest.mark.parametrize("argv", (["witness-eval", "--state", "werner", "--p", "0.9"],
                                   ["max-observers", "--alices", "2", "--state", "werner",
                                    "--p", "0.9"],
                                   ["compare"]),
                          ids=("witness-eval", "max-observers", "compare"))
-def test_subcommands_import_nothing_for_annotations(argv, fmt):
-    # -S keeps site, whose .pth files may load typing, out of the child, so
-    # an import made only for an annotation shows as an -X importtime line
+def test_subcommands_log_each_layer_and_no_annotation_import(argv, fmt):
+    # every module a subcommand loads, a package submodule too, gets an
+    # -X importtime line, so the log times each layer; -S keeps site, whose
+    # .pth files may load typing, out of the child, so an import made only
+    # for an annotation shows there too
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "seqwitness.cli",
                            *argv, "--format", fmt],
                           env=package_env(), capture_output=True, text=True, timeout=120)
@@ -475,6 +485,8 @@ def test_subcommands_import_nothing_for_annotations(argv, fmt):
               if line.startswith("import time:")]
     assert "argparse" in loaded, proc.stderr[-500:]  # the log was read
     assert not {"typing", "__future__", "collections.abc"} & set(loaded), loaded
+    layers = {name for name in loaded if name.partition(".")[0] == "seqwitness"}
+    assert layers == {"seqwitness", *_LOGGED_LAYERS[argv[0]]}, layers
 
 
 def test_max_observers_payload_is_the_library_chain(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,59 @@ def test_maximize_detectability_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 1024
+
+
+def _unequal_split(rng, product):
+    """A (xi, lam) with xi lam = product, both in (0, 1]: xi uniform in
+    [product, 1], a relative step of 1e-16 to 1e-2 above the even split,
+    exactly 1 or exactly the product."""
+    even = math.sqrt(product)
+    xi = rng.choice((rng.uniform(product, 1.0), even * (1.0 + 10.0 ** rng.uniform(-16, -2)),
+                     1.0, product))
+    xi = min(1.0, max(product, xi))
+    return xi, product / xi
+
+
+def test_no_unequal_split_of_a_stage_product_hands_on_more_or_costs_less():
+    # the paper's xi = lam restriction loses nothing: at a fixed product
+    # P = xi lam a stage hands on the most g at xi = lam (the count lemma's
+    # step 1 in sequential._symmetric_edge_before), and its RoM xi + lam >=
+    # 2 sqrt(P) is least there.  Near sharpness 1, s(x) = (1 + 2 sqrt(1 -
+    # x^2)) / 3 is steep, so here 1 - x^2 is (1 - x)(1 + x) and the even
+    # split is taken at the exact product of the drawn floats, 1 - xi lam =
+    # (1 - xi) + xi (1 - lam): each side is then within a few ulps
+    rel = 1e-15
+    rng = random.Random(59)
+
+    def shrink(x):
+        return (1.0 + 2.0 * math.sqrt((1.0 - x) * (1.0 + x))) / 3.0
+
+    for _ in range(20000):
+        g = 3.0 - 2.0 * rng.random()  # in (1, 3]
+        product = 1.0 - (1.0 - 1.0 / g) * rng.random()  # in (1/g, 1]
+        xi, lam = _unequal_split(rng, product)
+        even_shrink = (1.0 + 2.0 * math.sqrt((1.0 - xi) + xi * (1.0 - lam))) / 3.0
+        assert g * shrink(xi) * shrink(lam) <= g * even_shrink ** 2 * (1.0 + rel), (g, xi, lam)
+        assert xi + lam >= 2.0 * math.sqrt(product) * (1.0 - rel), (xi, lam)
+    # at the optimizer's per-stage products an unequal 3-stage schedule
+    # detects no more and costs no less RoM; each stage's witness value
+    # (1 - xi lam g) / 4 carries an absolute rounding of a few 1e-17
+    for _ in range(300):
+        kind = rng.choice(states.KINDS)
+        g = 3.0 if kind == states.BELL else rng.uniform(2.42, 3.0)  # 3 stages detect
+        family = BELL if kind == states.BELL else states.StateFamily(
+            kind, states.param_for_strength(kind, g))
+        best = resource.maximize_detectability(family)
+        stages, strengths, g = [], [], states.correlation_strength(family)
+        for xi, lam in best.schedule.stages:
+            xi, lam = _unequal_split(rng, xi * lam)
+            stages.append((xi, lam))
+            strengths.append(g)
+            g *= sequential.average_shrink(xi) * sequential.average_shrink(lam)
+        schedule = sequential.SharpnessSchedule(tuple(stages))
+        chain = sequential.ChainReport(family, schedule, tuple(strengths), ())
+        assert resource.detectability(chain).total >= best.total - 1e-15, (family, stages)
+        assert resource.total_rom(schedule) >= resource.total_rom(best.schedule) * (1.0 - rel)
 
 
 def test_total_rom():

@@ -299,16 +299,6 @@ def test_greedy_symmetric_count_stable_over_policy_range():
                 assert seq.greedy_symmetric(BELL, policy).detected_stages == 3
 
 
-def test_greedy_symmetric_max_stages_cap():
-    report = seq.greedy_symmetric(BELL, max_stages=2)
-    assert report.detected_stages == 2
-    assert len(report.thresholds) == len(report.states) == 2
-    # a cap below 1 would give an empty report, read as "detects nothing"
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="max_stages"):
-            seq.greedy_symmetric(BELL, max_stages=cap)
-
-
 def test_greedy_symmetric_infeasible_stop_records_one_more_threshold():
     report = seq.greedy_symmetric(BELL)
     assert len(report.thresholds) == report.detected_stages + 1
@@ -365,10 +355,9 @@ def test_greedy_asymmetric_max_bobs_cap():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: seq.greedy_symmetric(states.StateFamily.werner(0.9), max_stages=2.5),
     lambda: seq.greedy_asymmetric(1, BELL, max_bobs=2.5),
     lambda: seq.greedy_asymmetric(2.5, BELL),
-], ids=["max_stages", "max_bobs", "alices"])
+], ids=["max_bobs", "alices"])
 def test_non_integral_counts_and_caps_are_refused(run):
     # the stage loop would otherwise run a cap of 2.5 to 3 stages and read
     # 2.5 Alices as 2
@@ -627,7 +616,6 @@ def test_no_channel_runs_after_a_chain_s_last_stage(monkeypatch):
     monkeypatch.setattr(seq, "average_one_sided", count_one)
     runs = [
         (lambda: seq.run_symmetric_schedule(BELL, (0.73, 0.8, 1.0)), (2, 0)),
-        (lambda: seq.greedy_symmetric(BELL, max_stages=2), (1, 0)),
         (lambda: seq.greedy_asymmetric(1, BELL, max_bobs=5), (0, 4)),
         # an infeasible stop needs the state entering the failing stage
         (lambda: seq.greedy_symmetric(BELL), (3, 0)),
@@ -782,8 +770,9 @@ def test_greedy_chains_call_no_numpy_linalg_function(monkeypatch, family):
 
 
 def _random_chain(rng):
-    """A seeded random greedy chain (family, policy, wing-one count, cap) and
-    its count of leading two-sided stages, None for the symmetric chain."""
+    """A seeded random greedy chain (family, policy, wing-one count, and a
+    cap that only an asymmetric chain takes) and its count of leading
+    two-sided stages, None for the symmetric chain."""
     kind = str(rng.choice(states.KINDS))
     if kind == states.BELL:
         family = BELL
@@ -796,7 +785,7 @@ def _random_chain(rng):
     cap = None if rng.integers(2) else int(rng.integers(1, 21))
     alices = int(rng.integers(0, 5))  # 0 stands for the symmetric chain
     if alices == 0:
-        return seq.greedy_symmetric(family, policy, max_stages=cap), None
+        return seq.greedy_symmetric(family, policy), None
     return seq.greedy_asymmetric(alices, family, policy, max_bobs=cap), alices - 1
 
 
