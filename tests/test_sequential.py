@@ -299,6 +299,27 @@ def test_greedy_symmetric_count_stable_over_policy_range():
                 assert seq.greedy_symmetric(BELL, policy).detected_stages == 3
 
 
+@pytest.mark.parametrize("family", [
+    BELL,
+    states.StateFamily.werner(1.0),
+    states.StateFamily.colored(1.0),
+    states.StateFamily.pure(math.nextafter(math.pi / 4, 0.0)),
+], ids=["bell", "werner", "colored", "pure"])
+def test_greedy_symmetric_examines_at_most_four_stages(family):
+    # the chain takes no stage cap: every family has g <= 3, below the fourth
+    # band edge, so even at zero slack it stops at its fourth stage
+    g, edge = states.correlation_strength(family), 1.0
+    for _ in range(3):
+        edge = seq._symmetric_edge_before(edge)
+    assert g <= 3.0 < edge
+    for rounding in (False, True):
+        report = seq.greedy_symmetric(family, seq.EpsilonPolicy(0.0, 0.0, rounding))
+        assert len(report.strengths) <= 4
+        assert report.detected_stages <= 3
+    with pytest.raises(TypeError):
+        seq.greedy_symmetric(family, max_stages=2)
+
+
 def test_greedy_symmetric_infeasible_stop_records_one_more_threshold():
     report = seq.greedy_symmetric(BELL)
     assert len(report.thresholds) == report.detected_stages + 1
