@@ -74,6 +74,7 @@ def sqrt_effect(obs: UnsharpObservable, outcome: int) -> np.ndarray:
 
 
 def pointer_tradeoff(obs: UnsharpObservable) -> PointerTradeoff:
-    """Optimal pointer pair (F, G) = (sqrt(1 - lam^2), lam)."""
+    """Optimal pointer pair (F, G) = (sqrt((1 - lam)(1 + lam)), lam), the
+    factored 1 - lam^2 keeping F accurate near lam = 1."""
     lam = obs.sharpness
-    return PointerTradeoff(quality=float(np.sqrt(1.0 - lam * lam)), precision=lam)
+    return PointerTradeoff(quality=float(np.sqrt((1.0 - lam) * (1.0 + lam))), precision=lam)

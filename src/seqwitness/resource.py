@@ -219,25 +219,6 @@ def entanglement_budget(family: states.StateFamily, copies: int) -> float:
     return copies * states.concurrence_closed_form(family)
 
 
-class NonSequentialSolution(states._Record):
-    """Internals of the equal-entanglement RoM minimization; the total RoM
-    ``rom`` is a read-only property of ``lambdas``, outside the fields."""
-
-    __slots__ = ("param", "per_pair_floor", "quadratic_constraint", "lambdas")
-
-    def __init__(self, param: float, per_pair_floor: float, quadratic_constraint: float,
-                 lambdas: tuple[float, ...]):
-        _set(self, "param", param)
-        _set(self, "per_pair_floor", per_pair_floor)
-        _set(self, "quadratic_constraint", quadratic_constraint)
-        _set(self, "lambdas", lambdas)
-
-    @property
-    def rom(self) -> float:
-        """Total RoM: 2 sum(lam), each pair measuring at xi = lam."""
-        return 2.0 * sum(self.lambdas)
-
-
 def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, ...]:
     """Least-sum(lam) point, descending, with sum(lam^2) = constraint and
     floor <= lam <= 1.  sum(lam) is Schur-concave in x = lam^2, so the least
@@ -268,15 +249,14 @@ def _greedy_fill(constraint: float, floor: float, copies: int) -> tuple[float, .
     return min(candidates, key=sum)
 
 
-def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
-                   copies: int = _COPIES) -> NonSequentialSolution:
-    if operator.index(copies) < 1:
-        raise ValueError("need at least one copy")
+def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float) -> ComparisonRow:
+    """The table-2 row of ``kind``: _COPIES copies hold ``ebit_budget`` ebits,
+    every pair detects and the summed expectations reach the target."""
     if not (math.isfinite(ebit_budget) and math.isfinite(target_detectability)):
         raise ValueError("ebit budget and target detectability must be finite")
     # Every family has concurrence (g - 1) / 2, so each copy holding c ebits
     # has correlation strength 2c + 1.
-    c = ebit_budget / copies
+    c = ebit_budget / _COPIES
     if not 0.0 < c <= 1.0:
         raise ValueError("target concurrence must lie in (0, 1]")
     param = states.param_for_strength(kind, 2.0 * c + 1.0)
@@ -290,24 +270,25 @@ def _solve_min_rom(kind: str, ebit_budget: float, target_detectability: float,
     if strength <= 1.0:
         raise ValueError("state is too weakly correlated for every pair to detect")
     floor = 1.0 / math.sqrt(strength)
-    constraint = (copies - 4.0 * target_detectability) / strength
-    if constraint > float(copies) or constraint <= copies * floor**2:
+    constraint = (_COPIES - 4.0 * target_detectability) / strength
+    if constraint > float(_COPIES) or constraint <= _COPIES * floor**2:
         raise ValueError("detectability and budget constraints are jointly infeasible")
 
-    best = _greedy_fill(constraint, floor, copies)
-    return NonSequentialSolution(param=param, per_pair_floor=floor,
-                                 quadratic_constraint=constraint, lambdas=best)
+    # Each pair measures at xi = lam, so the total RoM is 2 sum(lam).  The
+    # row is built positionally: min_total_rom runs in every table build.
+    rom = 2.0 * sum(_greedy_fill(constraint, floor, _COPIES))
+    return ComparisonRow(kind, target_detectability, rom, ebit_budget,
+                         "fixed-eta-minimize-rom", param, constraint, floor)
 
 
-def min_total_rom(kind: str, ebit_budget: float, target_detectability: float,
-                  copies: int = _COPIES) -> float:
+def min_total_rom(kind: str, ebit_budget: float, target_detectability: float) -> float:
     """Least total RoM of a non-sequential scheme at fixed entanglement.
 
-    ``copies`` copies hold ``ebit_budget`` ebits, every pair must detect, and
+    _COPIES copies hold ``ebit_budget`` ebits, every pair must detect, and
     the summed expectations must reach the target.  The value, the infimum
     over the closed constraint set, is the greedy fill of ``_greedy_fill``.
     """
-    return _solve_min_rom(kind, ebit_budget, target_detectability, copies).rom
+    return _solve_min_rom(kind, ebit_budget, target_detectability).total_rom
 
 
 def build_comparison_tables() -> tuple[list[ComparisonRow], list[ComparisonRow]]:
@@ -344,12 +325,6 @@ def build_comparison_tables() -> tuple[list[ComparisonRow], list[ComparisonRow]]
             mode="fixed-rom-solve-eta", matching_parameter=param,
         ))
 
-        sol = _solve_min_rom(kind, 1.0, target, _COPIES)
-        table2.append(ComparisonRow(
-            family=kind, detectability=target, total_rom=sol.rom, eta_ebits=1.0,
-            mode="fixed-eta-minimize-rom", matching_parameter=sol.param,
-            quadratic_constraint=sol.quadratic_constraint,
-            per_pair_floor=sol.per_pair_floor,
-        ))
+        table2.append(_solve_min_rom(kind, 1.0, target))
 
     return table1, table2

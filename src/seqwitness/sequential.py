@@ -35,8 +35,9 @@ _GRID_EPS = 1e-9
 
 def average_shrink(lam: float) -> float:
     """Single-wing attenuation of every Bloch component under the
-    setting-averaged unsharp measurement: (1 + 2 sqrt(1 - lam^2)) / 3."""
-    return (1.0 + 2.0 * math.sqrt(1.0 - lam * lam)) / 3.0
+    setting-averaged unsharp measurement: (1 + 2 sqrt(1 - lam^2)) / 3, with
+    1 - lam^2 taken as (1 - lam)(1 + lam), which does not cancel near 1."""
+    return (1.0 + 2.0 * math.sqrt((1.0 - lam) * (1.0 + lam))) / 3.0
 
 
 def _sharpness_for_shrink(s: float) -> float:

@@ -154,6 +154,23 @@ def test_pointer_tradeoff():
     assert pt.precision == pytest.approx(0.6, abs=1e-12)
 
 
+def test_pointer_quality_is_accurate_near_lam_one():
+    # F = sqrt((1 - lam)(1 + lam)) stays within 2.2e-16 relative of 50 digits
+    # near 1, where sqrt(1 - lam^2) read 2.8e-10 at 1 - 1e-8, and within
+    # 2 ulps across (0, 1)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(47)
+    near = [1 - 1e-4, 1 - 1e-6, 1 - 1e-8] + (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 200)).tolist()
+    with mpmath.workdps(50):
+        for lam in near + rng.uniform(0.0, 1.0, 200).tolist():
+            x = mpmath.mpf(lam)
+            exact = mpmath.sqrt((1 - x) * (1 + x))
+            quality = ms.pointer_tradeoff(ms.UnsharpObservable(ms.Z_AXIS, lam)).quality
+            err = abs(mpmath.mpf(quality) - exact)
+            assert err <= 2 * math.ulp(float(exact)), lam
+            assert lam not in near or err <= 2.2e-16 * exact, lam
+
+
 @settings(max_examples=100, deadline=None)
 @given(sharpness_values)
 def test_pointer_identity(lam):

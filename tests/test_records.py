@@ -7,8 +7,8 @@ positional pattern matching, and their construction-time checks.  Matrix
 values, and a chain report that carries states, compare and hash by array
 entries; their pickles and copies run the constructor's checks again and
 hold read-only arrays.  A value that a record's stored fields fix (a
-chain's stage count and thresholds, a detectability total, a total RoM, a
-comparison row's two-decimal cascade) is a read-only property outside
+chain's stage count and thresholds, a detectability total, a comparison
+row's two-decimal cascade) is a read-only property outside
 them, equal bit for bit to what the record stored before it became one.  None of this loads ``dataclasses``."""
 
 import copy
@@ -105,17 +105,6 @@ _CASES = {
          {"matching_parameter": None, "quadratic_constraint": None, "per_pair_floor": None}),
         "ComparisonRow(family='werner', detectability=-0.25, total_rom=3.5, eta_ebits=1.5, "
         "mode='rom', matching_parameter=0.75, quadratic_constraint=2.25, per_pair_floor=0.5)",
-        (),
-    ),
-    "NonSequentialSolution": (
-        resource.NonSequentialSolution,
-        {"param": 0.8, "per_pair_floor": 0.625, "quadratic_constraint": 1.25,
-         "lambdas": (1.0, 0.625, 0.625)},
-        {"param": 0.8, "per_pair_floor": 0.625, "quadratic_constraint": 1.25,
-         "lambdas": (1.0, 1.0, 0.25)},
-        None,
-        "NonSequentialSolution(param=0.8, per_pair_floor=0.625, quadratic_constraint=1.25, "
-        "lambdas=(1.0, 0.625, 0.625))",
         (),
     ),
     "DensityMatrix": (
@@ -244,7 +233,6 @@ _DERIVED = (
     (sequential.ChainReport(states.StateFamily.bell(), _SCHEDULE, (3.0, 2.0, 0.8, 4e-15), ()),
      {"detected_stages": 2, "thresholds": (1 / 3, 0.5, 1.25, math.inf)}),
     (resource.DetectabilityReport((-0.125, -0.0625), _SCHEDULE), {"total": -0.1875}),
-    (resource.NonSequentialSolution(0.8, 0.625, 1.25, (1.0, 0.625, 0.625)), {"rom": 4.5}),
     (resource.ComparisonRow("werner", -0.2, 5.06, 1.12, "fixed-rom-solve-eta", 0.5849),
      {"paper_rounded": {"matching_parameter": 0.58, "concurrence": 0.37, "eta_ebits": 1.11}}),
 )
@@ -345,9 +333,10 @@ def test_derived_totals_and_roms_are_the_values_the_optimizer_stored():
             lo = -2.0 * best.total + 0.05
             budget = lo + rng.random() * (2.9 - lo)
             for noisy in (states.WERNER, states.COLORED, states.PURE):
-                sol = resource._solve_min_rom(noisy, budget, best.total)
-                assert _bits(sol.rom) == _bits(2.0 * sum(sol.lambdas))
-                assert _bits(resource.min_total_rom(noisy, budget, best.total)) == _bits(sol.rom)
+                row = resource._solve_min_rom(noisy, budget, best.total)
+                fill = resource._greedy_fill(row.quadratic_constraint, row.per_pair_floor, 3)
+                assert _bits(row.total_rom) == _bits(2.0 * sum(fill))
+                assert _bits(resource.min_total_rom(noisy, budget, best.total)) == _bits(row.total_rom)
 
 
 def test_library_chain_reports_compare_and_hash_by_state_entries():

@@ -510,15 +510,30 @@ def test_min_total_rom_values():
     assert resource.min_total_rom("pure", 1.0, -0.20) == pytest.approx(5.198436, abs=2e-4)
 
 
+def _lambdas(row):
+    """The sharpness values of a table-2 row's three pairs."""
+    return resource._greedy_fill(row.quadratic_constraint, row.per_pair_floor, 3)
+
+
 def test_min_rom_internals():
-    sol = resource._solve_min_rom("werner", 1.0, -0.20)
-    assert sol.param == pytest.approx(5 / 9, abs=1e-12)
-    assert sol.quadratic_constraint == pytest.approx(2.28, abs=1e-9)
-    assert sol.per_pair_floor == pytest.approx(math.sqrt(0.6), abs=1e-12)
-    assert sol.lambdas[0] == pytest.approx(1.0, abs=1e-9)
-    sol_c = resource._solve_min_rom("colored", 1.0, -0.20)
-    assert sol_c.param == 0.67
-    assert sol_c.quadratic_constraint == pytest.approx(2.261905, abs=1e-6)
+    row = resource._solve_min_rom("werner", 1.0, -0.20)
+    assert row.matching_parameter == pytest.approx(5 / 9, abs=1e-12)
+    assert row.quadratic_constraint == pytest.approx(2.28, abs=1e-9)
+    assert row.per_pair_floor == pytest.approx(math.sqrt(0.6), abs=1e-12)
+    assert _lambdas(row)[0] == pytest.approx(1.0, abs=1e-9)
+    row_c = resource._solve_min_rom("colored", 1.0, -0.20)
+    assert row_c.matching_parameter == 0.67
+    assert row_c.quadratic_constraint == pytest.approx(2.261905, abs=1e-6)
+
+
+def test_table_two_rows_are_the_min_rom_solves():
+    table2 = resource.build_comparison_tables()[1]
+    assert [row.family for row in table2] == ["sequential", "werner", "colored", "pure"]
+    for row in table2[1:]:
+        solved = resource._solve_min_rom(row.family, 1.0, row.detectability)
+        assert solved == row and hash(solved) == hash(row)
+        rom = resource.min_total_rom(row.family, 1.0, row.detectability)
+        assert rom.hex() == row.total_rom.hex()
 
 
 @pytest.mark.parametrize("kind,budget,target", [
@@ -527,10 +542,10 @@ def test_min_rom_internals():
     ("werner", 2.9, -0.35), ("pure", 0.8, -0.10),
 ])
 def test_min_rom_lambdas_match_scalar_scan(kind, budget, target):
-    sol = resource._solve_min_rom(kind, budget, target)
-    expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)
-    assert sol.lambdas == expected
-    assert sol.rom == 2.0 * sum(expected)
+    row = resource._solve_min_rom(kind, budget, target)
+    expected = oracles.min_rom_lambdas(row.quadratic_constraint, row.per_pair_floor)
+    assert _lambdas(row) == expected
+    assert row.total_rom == 2.0 * sum(expected)
 
 
 def test_min_rom_boundary_enumeration_matches_refined_oracle():
@@ -544,11 +559,11 @@ def test_min_rom_boundary_enumeration_matches_refined_oracle():
         budget = float(rng.uniform(0.05, 3.0))
         target = float(rng.uniform(-0.5, 0.2))
         try:
-            sol = resource._solve_min_rom(kind, budget, target)
+            row = resource._solve_min_rom(kind, budget, target)
         except ValueError:
             continue
-        expected = oracles.min_rom_lambdas(sol.quadratic_constraint, sol.per_pair_floor)
-        worst = max(worst, abs(sol.rom - 2.0 * sum(expected)))
+        expected = oracles.min_rom_lambdas(row.quadratic_constraint, row.per_pair_floor)
+        worst = max(worst, abs(row.total_rom - 2.0 * sum(expected)))
         checked += 1
         if checked == 300:
             break
@@ -558,8 +573,8 @@ def test_min_rom_boundary_enumeration_matches_refined_oracle():
 
 def test_min_rom_exhaustive_grid_oracle():
     # brute-force scan over ordered triples confirms the boundary solution
-    sol = resource._solve_min_rom("werner", 1.0, -0.20)
-    c, floor = sol.quadratic_constraint, sol.per_pair_floor
+    row = resource._solve_min_rom("werner", 1.0, -0.20)
+    c, floor = row.quadratic_constraint, row.per_pair_floor
     best = math.inf
     grid = np.linspace(floor, 1.0, 400)
     for l1 in grid:
@@ -567,32 +582,31 @@ def test_min_rom_exhaustive_grid_oracle():
             rest = c - l1 * l1 - l2 * l2
             if floor * floor <= rest <= 1.0:
                 best = min(best, l1 + l2 + math.sqrt(rest))
-    assert sol.rom <= 2 * best + 1e-6
+    assert row.total_rom <= 2 * best + 1e-6
 
 
 def test_min_rom_bounds():
     rom = resource.min_total_rom("werner", 1.0, -0.20)
-    sol = resource._solve_min_rom("werner", 1.0, -0.20)
-    assert 2 * math.sqrt(sol.quadratic_constraint) <= rom <= 6.0
+    row = resource._solve_min_rom("werner", 1.0, -0.20)
+    assert 2 * math.sqrt(row.quadratic_constraint) <= rom <= 6.0
 
 
-@pytest.mark.parametrize("budget,target,copies,message", [
-    (0.03, -0.20, 3, "jointly infeasible"),   # C above n
-    (1.0, 0.05, 3, "jointly infeasible"),     # C below n floor^2
-    (3.3, -0.20, 3, "concurrence"),           # 1.1 ebit per copy
-    (1.5, -0.20, 1, "concurrence"),
-    (0.0, -0.20, 3, "concurrence"),
-    (-1.0, -0.20, 3, "concurrence"),
+@pytest.mark.parametrize("budget,target,message", [
+    (0.03, -0.20, "jointly infeasible"),   # C above n
+    (1.0, 0.05, "jointly infeasible"),     # C below n floor^2
+    (3.3, -0.20, "concurrence"),           # 1.1 ebit per copy
+    (0.0, -0.20, "concurrence"),
+    (-1.0, -0.20, "concurrence"),
 ])
-def test_min_rom_infeasible(budget, target, copies, message):
+def test_min_rom_infeasible(budget, target, message):
     with pytest.raises(ValueError, match=message):
-        resource.min_total_rom("werner", budget, target, copies)
+        resource.min_total_rom("werner", budget, target)
 
 
 def test_min_rom_takes_one_ebit_per_copy():
     # c = 1, the top of (0, 1]: a werner copy at p = 1, g = 3
-    sol = resource._solve_min_rom("werner", 3.0, -0.20)
-    assert sol.param == 1.0 and sol.per_pair_floor == 1.0 / math.sqrt(3.0)
+    row = resource._solve_min_rom("werner", 3.0, -0.20)
+    assert row.matching_parameter == 1.0 and row.per_pair_floor == 1.0 / math.sqrt(3.0)
     with pytest.raises(ValueError, match="target concurrence"):
         resource._solve_min_rom("werner", math.nextafter(3.0, 4.0), -0.20)
 
@@ -604,7 +618,7 @@ def test_min_rom_joint_feasibility_at_both_ends():
     low, high = 3 * floor**2, 3.0
     # D = -1.5 puts the constraint at 3 exactly: every pair at sharpness 1
     assert (3 - 4 * -1.5) / 3.0 == high
-    assert resource._solve_min_rom("werner", 3.0, -1.5).lambdas == (1.0, 1.0, 1.0)
+    assert _lambdas(resource._solve_min_rom("werner", 3.0, -1.5)) == (1.0, 1.0, 1.0)
     # one float below -1.5, 3 - 4 D rounds back to 9; two below, it is the
     # float above 9 and the constraint the float above 3
     beyond = -1.5 - 2.0**-51
@@ -627,24 +641,11 @@ def test_min_rom_rejects_a_colored_budget_at_g_one():
         resource.min_total_rom("colored", 0.01, 0.0)
 
 
-@pytest.mark.parametrize("copies", [0, -1])
-def test_min_rom_needs_a_copy(copies):
-    with pytest.raises(ValueError, match="need at least one copy"):
-        resource.min_total_rom("werner", 1.0, -0.20, copies)
-    with pytest.raises(ValueError, match="need at least one copy"):
-        resource._solve_min_rom("pure", 1.0, -0.20, copies)
-
-
 @pytest.mark.parametrize("copies", [2.5, 3.0])
-@pytest.mark.parametrize("run", [
-    lambda copies: resource.entanglement_budget(states.StateFamily.werner(0.9), copies),
-    lambda copies: resource.min_total_rom("werner", 1.0, -0.20, copies=copies),
-], ids=["entanglement_budget", "min_total_rom"])
-def test_non_integral_copy_counts_are_refused(run, copies):
-    # the budget would otherwise price 2.5 copies, and the minimization fail
-    # deep in its fill on a float count
+def test_non_integral_copy_counts_are_refused(copies):
+    # the budget would otherwise price 2.5 copies
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        run(copies)
+        resource.entanglement_budget(states.StateFamily.werner(0.9), copies)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

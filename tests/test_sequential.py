@@ -249,6 +249,23 @@ def test_sharpness_for_shrink_clips_outside_the_range_of_average_shrink():
         assert seq._sharpness_for_shrink(s) == 1.0
 
 
+def test_average_shrink_is_accurate_near_lam_one():
+    # near 1 the factored (1 - lam)(1 + lam) keeps 1 - lam^2 to a few ulps,
+    # so s stays within 2.2e-16 relative of 50 digits, where 1 - lam * lam
+    # read 7.8e-14 at 1 - 1e-8; across (0, 1) the rounding of (1 + 2u)/3
+    # alone puts s up to about 1.8 ulps from the 50-digit value
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    near = [1 - 1e-4, 1 - 1e-6, 1 - 1e-8] + (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 200)).tolist()
+    with mpmath.workdps(50):
+        for lam in near + rng.uniform(0.0, 1.0, 200).tolist():
+            x = mpmath.mpf(lam)
+            exact = (1 + 2 * mpmath.sqrt((1 - x) * (1 + x))) / 3
+            err = abs(mpmath.mpf(seq.average_shrink(lam)) - exact)
+            assert err <= 2 * math.ulp(float(exact)), lam
+            assert lam not in near or err <= 2.2e-16 * exact, lam
+
+
 def test_greedy_symmetric_paper_rounding_schedule():
     report = seq.greedy_symmetric(BELL, seq.EpsilonPolicy(paper_rounding=True))
     assert report.detected_stages == 3
