@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import tracemalloc
@@ -498,6 +499,12 @@ def test_entanglement_budget_values():
         resource.entanglement_budget(BELL, 0)
 
 
+@pytest.mark.parametrize("copies", [0, -1])
+def test_entanglement_budget_needs_a_copy(copies):
+    with pytest.raises(ValueError, match="need at least one copy"):
+        resource.entanglement_budget(states.StateFamily.werner(0.9), copies)
+
+
 def test_entanglement_budget_of_one_copy_is_the_concurrence():
     # the least copy count: 1 is taken, 0 refused
     family = states.StateFamily.werner(0.9)
@@ -534,6 +541,33 @@ def test_table_two_rows_are_the_min_rom_solves():
         assert solved == row and hash(solved) == hash(row)
         rom = resource.min_total_rom(row.family, 1.0, row.detectability)
         assert rom.hex() == row.total_rom.hex()
+
+
+@pytest.mark.parametrize("kind", ["werner", "colored", "pure"])
+def test_min_rom_row_carries_its_inputs_in_place(kind):
+    # a budget and target away from table 2's, so no two fields coincide
+    budget, target = 1.7, -0.30
+    row = resource._solve_min_rom(kind, budget, target)
+    assert (row.family, row.mode) == (kind, "fixed-eta-minimize-rom")
+    assert row.detectability.hex() == target.hex()
+    assert row.eta_ebits.hex() == budget.hex()
+    assert row.total_rom.hex() == resource.min_total_rom(kind, budget, target).hex()
+    assert row.total_rom.hex() == (2.0 * sum(_lambdas(row))).hex()
+    strength = states.correlation_strength(states.StateFamily(kind, row.matching_parameter))
+    assert row.per_pair_floor.hex() == (1.0 / math.sqrt(strength)).hex()
+    assert row.quadratic_constraint.hex() == ((3 - 4.0 * target) / strength).hex()
+
+
+@pytest.mark.parametrize("solve", [resource.min_total_rom, resource._solve_min_rom],
+                         ids=["min_total_rom", "_solve_min_rom"])
+def test_min_rom_takes_no_copy_count(solve):
+    # the copy count is the tables' three; a fourth argument is refused
+    assert list(inspect.signature(solve).parameters) == [
+        "kind", "ebit_budget", "target_detectability"]
+    with pytest.raises(TypeError):
+        solve("werner", 1.0, -0.20, 3)
+    with pytest.raises(TypeError):
+        solve("werner", 1.0, -0.20, copies=3)
 
 
 @pytest.mark.parametrize("kind,budget,target", [
